@@ -38,6 +38,7 @@ from .rings import (
     regular_elements,
     two_sided_ideals,
     uniform_dimension,
+    unit_pullback,
     units,
 )
 from .oresets import (
@@ -98,7 +99,7 @@ __all__ = [
     "CarrierSubset", "FiniteRing", "ProductRing", "RingMap", "direct_product",
     "from_tables", "ideal_closure", "is_division_ring", "is_semiprime", "left_ideals",
     "minimal_primes", "opposite", "quotient", "regular_elements", "two_sided_ideals",
-    "uniform_dimension", "units",
+    "uniform_dimension", "unit_pullback", "units",
     "MulSet", "OreReport", "ass", "core", "denominator_sidedness", "is_left_denominator",
     "is_left_ore", "mul_closure", "ore_report", "r_ass", "saturate",
     "FractionRing", "LargestQuotient", "build_fraction_ring", "classical_left_quotient",

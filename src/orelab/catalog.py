@@ -11,6 +11,7 @@ tables, files and hashes are reproducible:
 * ``upper_triangular(base, k)``: the on-or-above-diagonal positions
   row-major, first position most significant.
 * ``product(...)``: leftmost factor most significant.
+* ``opposite(base)``: the carrier of ``base``, multiplication reversed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import BadSpec, DEFAULT_GUARDS, Guards, ParseError, SizeGuardExceeded
-from .rings import FiniteRing, direct_product, ideal_closure, quotient
+from .rings import FiniteRing, direct_product, ideal_closure, opposite, quotient
 
 __all__ = [
     "RingSpec",
@@ -63,7 +64,7 @@ class RingSpec:
         return f"{self.kind}({','.join(parts)})"
 
 
-_KINDS = ("zmod", "gf", "matrix", "upper_triangular", "product", "quotient", "file")
+_KINDS = ("zmod", "gf", "matrix", "upper_triangular", "product", "quotient", "opposite", "file")
 
 
 class _SpecParser:
@@ -166,6 +167,8 @@ class _SpecParser:
                     self.pos += 1
                     gens.append(self.integer())
                 args.append(tuple(gens))
+        elif kind == "opposite":
+            args.append(self.spec())
         elif kind == "file":
             args.append(self.path())
         self.expect(")")
@@ -174,7 +177,10 @@ class _SpecParser:
 
 def parse_spec(text: str) -> RingSpec:
     p = _SpecParser(text)
-    s = p.spec()
+    try:
+        s = p.spec()
+    except RecursionError:
+        raise BadSpec(f"constructors nest too deeply in {text[:40]!r}...") from None
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing characters")
@@ -312,6 +318,13 @@ def construct(spec: RingSpec | str, guards: Guards = DEFAULT_GUARDS) -> FiniteRi
     """Build the ring a spec describes; every output is axiom-checked."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    try:
+        return _build(spec, guards)
+    except RecursionError:
+        raise BadSpec(f"constructors nest too deeply to build {spec.kind}(...)") from None
+
+
+def _build(spec: RingSpec, guards: Guards) -> FiniteRing:
     kind = spec.kind
     if kind == "zmod":
         n = spec.args[0]
@@ -328,13 +341,13 @@ def construct(spec: RingSpec | str, guards: Guards = DEFAULT_GUARDS) -> FiniteRi
             raise SizeGuardExceeded(f"gf({q})", q, guards.order)
         return _gf(q)
     if kind in ("matrix", "upper_triangular"):
-        base = construct(spec.args[0], guards)
+        base = _build(spec.args[0], guards)
         return _matrix_ring(base, spec.args[1], kind == "upper_triangular", guards)
     if kind == "product":
-        factors = [construct(a, guards) for a in spec.args]
+        factors = [_build(a, guards) for a in spec.args]
         return direct_product(*factors, guards=guards).ring
     if kind == "quotient":
-        base = construct(spec.args[0], guards)
+        base = _build(spec.args[0], guards)
         gens = spec.args[1]
         for g in gens:
             if not 0 <= g < base.order:
@@ -342,6 +355,8 @@ def construct(spec: RingSpec | str, guards: Guards = DEFAULT_GUARDS) -> FiniteRi
         ideal = ideal_closure(base, gens, side="two")
         q, _ = quotient(base, ideal)
         return q
+    if kind == "opposite":
+        return opposite(_build(spec.args[0], guards))
     if kind == "file":
         return load_ring_file(spec.args[0])
     raise BadSpec(f"unknown constructor {kind!r}")

@@ -28,7 +28,7 @@ from .laws import law_ids, run_laws
 from .localize import build_fraction_ring, quotient_model_isomorphism
 from .maxden import localization_profile
 from .oresets import MulSet, ore_report
-from .rings import FiniteRing, two_sided_ideals, units
+from .rings import FiniteRing, is_division_ring, two_sided_ideals, units
 
 __all__ = ["run", "main"]
 
@@ -140,7 +140,7 @@ def _render_profile(label: str, prof) -> str:
         f"maximal denominator sets: {len(prof.maximal)}",
     ]
     for a, s, fr in zip(prof.maximal_ass, prof.maximal, prof.localizations):
-        division = " (division ring)" if fr.ring.order > 1 and _is_division(fr.ring) else ""
+        division = " (division ring)" if fr.ring.order > 1 and is_division_ring(fr.ring) else ""
         lines.append(
             f"  set {_fmt_set(ring, s)}  ass {_fmt_set(ring, a)}"
             f"  localization order {fr.ring.order}{division}"
@@ -167,12 +167,6 @@ def _render_profile(label: str, prof) -> str:
     for cond in dec.conditions:
         lines.append(f"  condition {cond.name}: {_yesno(cond.holds)}")
     return "\n".join(lines)
-
-
-def _is_division(ring: FiniteRing) -> bool:
-    from .rings import is_division_ring
-
-    return is_division_ring(ring)
 
 
 def _render_laws(label: str, ring: FiniteRing, results) -> str:
@@ -273,6 +267,9 @@ def _run_batch(args, guards: Guards, stdout) -> int:
             manifest = parse_manifest(fh.read())
     except OSError as e:
         print(f"cannot read manifest: {e}", file=stdout)
+        return 2
+    except ParseError as e:
+        print(f"parse error: {e}", file=stdout)
         return 2
     jobs = args.jobs if args.jobs is not None else (manifest.jobs or 1)
     out_dir = args.out or manifest.out
@@ -477,3 +474,7 @@ def run(argv=None, stdout=None) -> int:
 
 def main() -> None:  # console entry point
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

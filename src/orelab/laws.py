@@ -36,6 +36,7 @@ from .rings import (
     subgroup_sum,
     two_sided_ideals,
     uniform_dimension,
+    unit_pullback,
     units,
 )
 
@@ -483,10 +484,7 @@ def _check_splitting_round_trip(ctx: LawContext):
     if math.prod(f.order for f in dec.factors) != ring.order:
         return False, True, "factor orders do not multiply to the ring order"
     for idx, ((a, s, fr), proj) in enumerate(zip(entries, dec.projections)):
-        pulled = CarrierSubset.from_indices(
-            ring.order, (x for x in range(ring.order) if fr.sigma(x) in units(fr.ring))
-        )
-        if pulled.mask != s.mask:
+        if unit_pullback(fr.sigma).mask != s.mask:
             return False, True, f"factor {idx}: set is not the unit preimage"
         if proj.kernel() != a:
             return False, True, f"factor {idx}: projection kernel is not the annihilator"
@@ -550,10 +548,10 @@ def _check_maximal_localization_properties(ctx: LawContext):
         lqa = largest_left_quotient(A)
         if set(lqa.regular_set) != a_units:
             return False, True, "regular set of the localization is not its unit group"
-        if {x for x in range(q.order) if theta(x) in a_units} != set(units(q)):
+        if unit_pullback(theta) != units(q):
             return False, True, "units of the localization meet the factor wrongly"
 
-        if {r for r in range(ring.order) if fr.sigma(r) in a_units} != set(s):
+        if unit_pullback(fr.sigma).mask != s.mask:
             return False, True, "set is not the unit preimage under the canonical map"
 
         inv = _unit_inverses(A)
@@ -739,10 +737,7 @@ def _check_irredundant_division_presentation(ctx: LawContext):
             if CarrierSubset(ring.order, mask) == _zero_subset(ring):
                 return False, True, f"factor {i} can be dropped without losing injectivity"
     for i, (a, s, fr) in enumerate(ctx.entries):
-        pulled = CarrierSubset.from_indices(
-            ring.order, (r for r in range(ring.order) if fr.sigma(r) in units(fr.ring))
-        )
-        if pulled.mask != s.mask:
+        if unit_pullback(fr.sigma).mask != s.mask:
             return False, True, f"set {i} is not the unit preimage of its division localization"
     return True, True, f"irredundant presentation with {n} factors"
 

@@ -2,14 +2,19 @@
 
 The construction is the textbook one: pairs (s, r) standing for s^-1 r,
 identified when c*s = d*t lands in the denominator set with c*r = d*q.
-It never peeks at the quotient-by-annihilator shortcut; that model is a
-separate oracle (``quotient_model_isomorphism``) used to cross-check the
-result.
+That relation is generated by (s, r) ~ (c*s, c*r) for c*s in S, so one
+union-find over the pairs finds its classes.  The tables are then
+certified by the characterization of S^-1 R: a ring A with a unital map
+sigma: R -> A is the left localization at S exactly when sigma(S) lies
+in the units of A, ker sigma = ass(S), and every element of A is
+sigma(s)^-1 sigma(r).  Every pair is checked against the last condition,
+at every ring order.  The construction never peeks at the
+quotient-by-annihilator shortcut; that model is a separate oracle
+(``quotient_model_isomorphism``) used to cross-check the result.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency, NotDenominator
@@ -21,6 +26,7 @@ from .rings import (
     hom_is_R_isomorphism,
     quotient,
     regular_elements,
+    unit_pullback,
     units,
 )
 
@@ -33,11 +39,6 @@ __all__ = [
     "largest_left_quotient",
     "classical_left_quotient",
 ]
-
-# base rings up to this order get every witness choice checked; larger
-# ones get a deterministic random resample per table entry
-_EXHAUSTIVE_ORDER = 8
-
 
 @dataclass(eq=False)
 class FractionRing:
@@ -76,12 +77,20 @@ class FractionRing:
         }
 
 
-def build_fraction_ring(ring: FiniteRing, dens, witness_samples: int = 3) -> FractionRing:
+def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     """Localize at a left denominator set (or denominator semigroup).
 
     dens may be a MulSet, a CarrierSubset or an iterable of indices; a set
     without one is accepted as long as it is zero-free and closed, which
     is what cores of denominator sets look like.
+
+    The pairs are classed by one union-find over the |S|*n pairs that
+    joins (s, r) with (c*s, c*r) whenever c*s lies in S; classes are
+    numbered by their least pair.  The result is then certified by the
+    characterization of S^-1 R, which pins it down at every order: the
+    tables form a ring, sigma is a unital homomorphism sending S into the
+    units with kernel ass(S), there are exactly n/|ass(S)| classes, and
+    sigma(s) * [s, r] == sigma(r) for every pair (s, r).
     """
     elems = _subset_of(ring, dens)
     _check_semigroup(ring, elems)
@@ -92,34 +101,39 @@ def build_fraction_ring(ring: FiniteRing, dens, witness_samples: int = 3) -> Fra
     n = ring.order
     mul, add = ring.mul, ring.add
     s_list = sorted(elems.indices())
-    in_s = elems.mask
-    pairs = [(s, r) for s in s_list for r in range(n)]
+    pairs = [(s, r) for s in s_list for r in range(n)]  # pair (s_list[i], r) sits at i*n + r
 
-    # membership keys: K(t,q) holds every (d*t, d*q); C(s,r) holds every
-    # (c*s, c*r) whose first coordinate stays in the set
-    K: dict[tuple[int, int], set] = {}
-    C: dict[tuple[int, int], list] = {}
-    for t, q in pairs:
-        K[(t, q)] = {(mul[d][t], mul[d][q]) for d in range(n)}
-    for s, r in pairs:
-        C[(s, r)] = [
-            (mul[c][s], mul[c][r]) for c in range(n) if (in_s >> mul[c][s]) & 1
-        ]
+    # union-find joining (s, r) with (c*s, c*r) whenever c*s lies in S; a
+    # merge hangs the larger root under the smaller, so every root is the
+    # least pair of its class
+    index = {s: i * n for i, s in enumerate(s_list)}
+    parent = list(range(len(pairs)))
 
-    reps: list[tuple[int, int]] = []
-    pair_class: dict[tuple[int, int], int] = {}
-    for p in pairs:
-        hits = [i for i, rep in enumerate(reps) if any(x in K[rep] for x in C[p])]
-        if len(hits) > 1:
-            raise InternalInconsistency(
-                f"pair {p} matches {len(hits)} distinct classes; relation not transitive"
-            )
-        if hits:
-            pair_class[p] = hits[0]
-        else:
-            pair_class[p] = len(reps)
-            reps.append(p)
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for s in s_list:
+        at_s = index[s]
+        for row in mul:  # row[x] == c*x for one c
+            base = index.get(row[s])
+            if base is not None:
+                for r in range(n):
+                    x, y = find(at_s + r), find(base + row[r])
+                    if x != y:
+                        parent[max(x, y)] = min(x, y)
+    roots = sorted({find(p) for p in range(len(pairs))})
+    number = {root: i for i, root in enumerate(roots)}
+    reps = [pairs[root] for root in roots]
+    pair_class = {p: number[find(i)] for i, p in enumerate(pairs)}
     k = len(reps)
+
+    a = ass(ring, elems)
+    if k * len(a) != n:
+        raise InternalInconsistency(
+            f"{k} pair classes, but R/ass(S) has {n // len(a)} elements"
+        )
 
     # by_value[s][v] = all r' with r'*s == v, for witness searches
     by_value: dict[int, dict[int, list[int]]] = {}
@@ -128,17 +142,6 @@ def build_fraction_ring(ring: FiniteRing, dens, witness_samples: int = 3) -> Fra
         for rp in range(n):
             m.setdefault(mul[rp][s], []).append(rp)
         by_value[s] = m
-
-    exhaustive = n <= _EXHAUSTIVE_ORDER
-    rng = random.Random((elems.mask << 16) | n)
-
-    def sum_class(s, r, t, q, s1, r1):
-        # s^-1 r + t^-1 q = (s1 t)^-1 (r1 r + s1 q) whenever s1 t = r1 s
-        return pair_class[(mul[s1][t], add[mul[r1][r]][mul[s1][q]])]
-
-    def prod_class(s, r, t, q, t1, r2):
-        # s^-1 r * t^-1 q = (t1 s)^-1 (r2 q) whenever t1 r = r2 t
-        return pair_class[(mul[t1][s], mul[r2][q])]
 
     def first_witness(anchor: int, through: int):
         # smallest (w, r') in S x R with w*through == r'*anchor
@@ -149,46 +152,16 @@ def build_fraction_ring(ring: FiniteRing, dens, witness_samples: int = 3) -> Fra
                 return w, cands[0]
         raise InternalInconsistency("left Ore witness vanished during table build")
 
-    def check_all_witnesses(result, anchor, through, classify):
-        lookup = by_value[anchor]
-        for w in s_list:
-            for rp in lookup.get(mul[w][through], ()):
-                if classify(w, rp) != result:
-                    raise InternalInconsistency(
-                        f"witness ({w}, {rp}) changes the result class"
-                    )
-
-    def check_sampled_witnesses(result, anchor, through, classify):
-        for _ in range(witness_samples):
-            w = rng.choice(s_list)
-            cands = by_value[anchor].get(mul[w][through])
-            if not cands:
-                continue
-            rp = rng.choice(cands)
-            if classify(w, rp) != result:
-                raise InternalInconsistency(f"witness ({w}, {rp}) changes the result class")
-
     add_table = [[0] * k for _ in range(k)]
     mul_table = [[0] * k for _ in range(k)]
     for i, (s, r) in enumerate(reps):
         for j, (t, q) in enumerate(reps):
+            # s^-1 r + t^-1 q = (s1 t)^-1 (r1 r + s1 q) whenever s1 t = r1 s
             s1, r1 = first_witness(s, t)
-            res = sum_class(s, r, t, q, s1, r1)
-            classify = lambda w, rp, s=s, r=r, t=t, q=q: sum_class(s, r, t, q, w, rp)
-            if exhaustive:
-                check_all_witnesses(res, s, t, classify)
-            else:
-                check_sampled_witnesses(res, s, t, classify)
-            add_table[i][j] = res
-
+            add_table[i][j] = pair_class[(mul[s1][t], add[mul[r1][r]][mul[s1][q]])]
+            # s^-1 r * t^-1 q = (t1 s)^-1 (r2 q) whenever t1 r = r2 t
             t1, r2 = first_witness(t, r)
-            res = prod_class(s, r, t, q, t1, r2)
-            classify = lambda w, rp, s=s, r=r, t=t, q=q: prod_class(s, r, t, q, w, rp)
-            if exhaustive:
-                check_all_witnesses(res, t, r, classify)
-            else:
-                check_sampled_witnesses(res, t, r, classify)
-            mul_table[i][j] = res
+            mul_table[i][j] = pair_class[(mul[t1][s], mul[r2][q])]
 
     s0 = s_list[0]
     sigma_table = tuple(pair_class[(s0, mul[s0][x])] for x in range(n))
@@ -201,15 +174,16 @@ def build_fraction_ring(ring: FiniteRing, dens, witness_samples: int = 3) -> Fra
     except ValueError as e:
         raise InternalInconsistency(f"canonical map is not a homomorphism: {e}") from e
 
-    if sigma.kernel() != ass(ring, elems):
+    if sigma.kernel() != a:
         raise InternalInconsistency("kernel of the canonical map differs from ass(S)")
     fr_units = units(fr_ring)
     for s in s_list:
         if sigma(s) not in fr_units:
             raise InternalInconsistency(f"denominator {s} is not invertible in the fractions")
-    for idx, (s, r) in enumerate(reps):
-        if fr_ring.mul[sigma(s)][idx] != sigma(r):
-            raise InternalInconsistency("s * (s^-1 r) failed to recover r")
+    fr_mul = fr_ring.mul
+    for (s, r), cls in pair_class.items():
+        if fr_mul[sigma(s)][cls] != sigma(r):
+            raise InternalInconsistency(f"s * (s^-1 r) failed to recover r at pair ({s}, {r})")
 
     return FractionRing(ring, elems, fr_ring, sigma, tuple(reps), pair_class)
 
@@ -279,13 +253,8 @@ def largest_left_quotient(ring: FiniteRing) -> LargestQuotient:
     are asserted.
     """
     zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
-    q0, proj0 = quotient(ring, zero_ideal)
-    qu = units(q0)
-    pulled = CarrierSubset.from_indices(
-        ring.order, (x for x in range(ring.order) if proj0(x) in qu)
-    )
     u = units(ring)
-    if pulled != u:
+    if unit_pullback(quotient(ring, zero_ideal)[1]) != u:
         raise InternalInconsistency("unit pullback through R/0 differs from the unit group")
     if regular_elements(ring) != u:
         raise InternalInconsistency("regular elements differ from units on a finite ring")

@@ -27,6 +27,7 @@ from .rings import (
     subgroup_sum,
     two_sided_ideals,
     uniform_dimension,
+    unit_pullback,
     units,
 )
 
@@ -164,11 +165,7 @@ def saturated_denominator_sets(
     for a in two_sided_ideals(ring, guards):
         if len(a) == ring.order:
             continue
-        q, proj = quotient(ring, a)
-        qu = units(q)
-        t = CarrierSubset.from_indices(
-            ring.order, (x for x in range(ring.order) if proj(x) in qu)
-        )
+        t = unit_pullback(quotient(ring, a)[1])
         if not is_left_denominator(ring, t).holds:
             continue
         if ass(ring, t) != a:
@@ -351,12 +348,8 @@ def product_decomposition(
 
     if _localizations is None:
         _localizations = [build_fraction_ring(ring, s) for _, s in entries]
-    for idx, ((a, s), (q, proj), fr) in enumerate(zip(entries, quotients, _localizations)):
-        qu = units(q)
-        pulled = CarrierSubset.from_indices(
-            ring.order, (x for x in range(ring.order) if proj(x) in qu)
-        )
-        if pulled.mask != s.mask:
+    for idx, ((a, s), (_, proj), fr) in enumerate(zip(entries, quotients, _localizations)):
+        if unit_pullback(proj).mask != s.mask:
             raise InternalInconsistency(f"factor {idx} is not the unit pullback of its quotient")
         if proj.kernel() != a:
             raise InternalInconsistency(f"projection kernel differs from annihilator {idx}")
@@ -528,11 +521,7 @@ def sided_profiles(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> SidedPr
     for a in two_sided_ideals(ring, guards):
         if len(a) == ring.order:
             continue
-        q, proj = quotient(ring, a)
-        qu = units(q)
-        t = CarrierSubset.from_indices(
-            ring.order, (x for x in range(ring.order) if proj(x) in qu)
-        )
+        t = unit_pullback(quotient(ring, a)[1])
         left_ok = is_left_denominator(ring, t).holds and ass(ring, t) == a
         right_ok = is_left_denominator(op, t).holds and ass(op, t) == a
         if left_ok and right_ok:

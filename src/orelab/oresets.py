@@ -293,7 +293,7 @@ def saturate(mulset: MulSet) -> MulSet:
     under the canonical map; the two must agree.
     """
     from . import localize  # deferred: localize depends on this module
-    from .rings import quotient, units
+    from .rings import quotient, unit_pullback
 
     ring = mulset.ring
     den = is_left_denominator(mulset)
@@ -302,16 +302,8 @@ def saturate(mulset: MulSet) -> MulSet:
     a = ass(mulset)
     if not is_two_sided_ideal(ring, a):
         raise InternalInconsistency(f"ass {a} of a denominator set is not an ideal")
-    q, proj = quotient(ring, a)
-    u = units(q)
-    by_quotient = CarrierSubset.from_indices(
-        ring.order, (x for x in range(ring.order) if proj(x) in u)
-    )
-    fr = localize.build_fraction_ring(ring, mulset)
-    fu = units(fr.ring)
-    by_fractions = CarrierSubset.from_indices(
-        ring.order, (x for x in range(ring.order) if fr.sigma(x) in fu)
-    )
+    by_quotient = unit_pullback(quotient(ring, a)[1])
+    by_fractions = unit_pullback(localize.build_fraction_ring(ring, mulset).sigma)
     if by_quotient != by_fractions:
         raise InternalInconsistency(
             f"saturation routes disagree: quotient {by_quotient}, fractions {by_fractions}"

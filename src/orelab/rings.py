@@ -42,6 +42,7 @@ __all__ = [
     "is_two_sided_ideal",
     "subgroup_sum",
     "quotient",
+    "unit_pullback",
     "direct_product",
     "opposite",
     "additive_subgroups",
@@ -654,6 +655,12 @@ class RingMap:
         if inner.target is not self.source and inner.target != self.source:
             raise ValueError("composition mismatch")
         return RingMap(inner.source, self.target, tuple(self.table[v] for v in inner.table))
+
+
+def unit_pullback(f: RingMap) -> CarrierSubset:
+    """{x : f(x) is a unit of f.target}."""
+    u = units(f.target)
+    return CarrierSubset.from_indices(f.source.order, (x for x, v in enumerate(f.table) if v in u))
 
 
 def quotient(ring: FiniteRing, ideal: CarrierSubset) -> tuple[FiniteRing, RingMap]:

@@ -15,6 +15,7 @@ from orelab import (
     load_ring_file,
     parse_manifest,
     parse_spec,
+    opposite,
     save_ring_file,
     units,
 )
@@ -29,6 +30,7 @@ def test_parse_spec_round_trip():
         "product(gf(2),gf(3),gf(5))",
         "product(zmod(4),matrix(gf(2),2))",
         "quotient(zmod(12),[4])",
+        "opposite(upper_triangular(gf(2),2))",
     ):
         assert str(parse_spec(text)) == text
     # bare-integer generators are sugar for the bracketed list
@@ -41,6 +43,21 @@ def test_parse_spec_errors():
         with pytest.raises(BadSpec):
             parse_spec(bad)
             construct(bad)
+
+
+def test_opposite_spec():
+    t = construct("upper_triangular(gf(2),2)")
+    op = construct("opposite(upper_triangular(gf(2),2))")
+    assert op == opposite(t) and op != t
+    assert construct("opposite(opposite(upper_triangular(gf(2),2)))") == t
+
+
+def test_deep_nesting_is_bad_spec():
+    deep = "quotient(" * 2000 + "zmod(4)" + ",0)" * 2000
+    with pytest.raises(BadSpec):
+        parse_spec(deep)
+    with pytest.raises(ParseError):
+        parse_manifest(f"ring {deep}")
 
 
 def test_zmod_construction():

@@ -1,13 +1,16 @@
 """Command line behavior: verbs, exit codes, formats, batch determinism."""
 
+import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from orelab import construct, save_ring_file
-from orelab.cli import run
+from orelab import DEFAULT_GUARDS, BadSpec, construct, parse_spec, save_ring_file
+from orelab.cli import _batch_entry, run
 
 
 def _run(argv):
@@ -102,6 +105,60 @@ def test_usage_errors():
     assert _run(["ore", "zmod(6)", "--set", "1,99"])[0] == 2
     assert _run(["localize", "zmod(6)", "--set", ""])[0] == 2
     assert _run(["info", "no/such/file.ring"])[0] == 2
+
+
+def test_profile_opposite_spec():
+    code, out = _run(["profile", "opposite(upper_triangular(gf(2),2))"])
+    assert code == 0
+    assert out.startswith("ring: opposite(upper_triangular(gf(2),2)) (order 8)")
+
+
+def test_module_entry_point():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "orelab.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = module("info", "zmod(4)")
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("ring: zmod(4) (order 4)\n")
+    bad = module("info", "zmod(nope)")
+    assert bad.returncode == 2
+    assert bad.stdout.startswith("parse error:")
+
+
+def _nested(depth: int) -> str:
+    return "quotient(" * depth + "zmod(4)" + ",0)" * depth
+
+
+def test_deep_nesting_exit_code(tmp_path):
+    deep = _nested(2000)
+    code, out = _run(["info", deep])
+    assert code == 2 and out.startswith("parse error:")
+    work = (deep, ("profile",), "json", dataclasses.astuple(DEFAULT_GUARDS))
+    assert _batch_entry(work)["status"] == "parse"
+    manifest = tmp_path / "deep.txt"
+    manifest.write_text(f"ring zmod(4)\nring {deep}\n")
+    code, out = _run(["batch", "--manifest", str(manifest)])
+    assert code == 2 and out.startswith("parse error:")
+
+
+def test_nesting_at_the_recursion_limit_ends_in_an_exit_code():
+    # building recurses a few frames deeper than parsing, so the depths just
+    # below the deepest parsable spec must be refused cleanly as well
+    lo, hi = 1, sys.getrecursionlimit()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse_spec(_nested(mid))
+            lo = mid
+        except BadSpec:
+            hi = mid - 1
+    codes = {_run(["info", _nested(d)])[0] for d in range(lo - 12, lo + 2)}
+    assert codes == {0, 2}
 
 
 def test_guard_exit_code():

@@ -7,14 +7,17 @@ from orelab import (
     MulSet,
     NotDenominator,
     NotOre,
+    brute_force_denominator_sets,
     build_fraction_ring,
     canonical_hash,
     classical_left_quotient,
     construct,
+    core,
     core_transfer_isomorphism,
     largest_left_quotient,
     quotient,
     quotient_model_isomorphism,
+    saturated_denominator_sets,
     units,
 )
 
@@ -88,8 +91,8 @@ def test_fraction_ring_t2f2(t2f2):
 
 
 def test_larger_ring_uses_sampled_witness_checks(z12):
-    # order 12 is above the exhaustive-verification cutoff; the sampled
-    # path must still produce a fully validated ring
+    # the certificate has no order cutoff: a build above order 8 is
+    # checked on every pair, exactly as a small one
     fr = build_fraction_ring(z12, MulSet(z12, [1, 5, 7, 11]))
     assert fr.ring.order == 12
     assert fr.sigma.is_bijective()
@@ -110,3 +113,43 @@ def test_zero_ring_never_appears(z6):
     for elems in ([1], [1, 3], [1, 4], [1, 5], [1, 2, 4], [1, 3, 5], [1, 2, 4, 5]):
         fr = build_fraction_ring(z6, MulSet(z6, elems))
         assert fr.ring.order >= 2
+
+
+def _ore_related(ring, dens):
+    """Reference for the pair relation, read off its definition: (s, r) and
+    (t, q) are related when c*s = d*t lies in S and c*r = d*q for some c, d."""
+    n, mul = ring.order, ring.mul
+    pairs = [(s, r) for s in sorted(dens) for r in range(n)]
+    # (c*s, c*r) over every c with c*s in S; two pairs are related exactly
+    # when these images meet
+    images = {
+        (s, r): {(mul[c][s], mul[c][r]) for c in range(n) if mul[c][s] in dens}
+        for s, r in pairs
+    }
+    return {(p, q): bool(images[p] & images[q]) for p in pairs for q in pairs}
+
+
+def _assert_classes_match_definition(ring, dens):
+    fr = build_fraction_ring(ring, dens)
+    related = _ore_related(ring, fr.dens)
+    assert set(fr.pair_class) == {p for p, _ in related}
+    for (p, q), rel in related.items():
+        assert (fr.pair_class[p] == fr.pair_class[q]) == rel, (sorted(fr.dens), p, q)
+    # classes are numbered by their least pair
+    least = {}
+    for p, cls in fr.pair_class.items():
+        least[cls] = min(least.get(cls, p), p)
+    assert [least[i] for i in range(len(fr.reps))] == list(fr.reps) == sorted(fr.reps)
+
+
+def test_pair_classes_match_the_ore_relation(catalog_rings):
+    small = [ring for ring in catalog_rings.values() if ring.order <= 8]
+    for ring in small:
+        for mset in brute_force_denominator_sets(ring):
+            _assert_classes_match_definition(ring, mset.elements)
+            _assert_classes_match_definition(ring, core(ring, mset.elements))
+    for spec in ("zmod(12)", "matrix(gf(2),2)"):
+        ring = catalog_rings[spec]
+        _assert_classes_match_definition(ring, units(ring))
+        for mset in saturated_denominator_sets(ring).values():
+            _assert_classes_match_definition(ring, mset.elements)
