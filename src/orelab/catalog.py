@@ -403,7 +403,7 @@ def load_ring_file(path: str) -> FiniteRing:
     try:
         with open(path, encoding="ascii") as fh:
             raw = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(0, f"cannot read {path}: {e}")
     lines = raw.splitlines()
     pos = 0

@@ -74,9 +74,8 @@ def _yesno(flag) -> str:
 # -- text renderers -------------------------------------------------------
 
 
-def _render_info(label: str, ring: FiniteRing, guards: Guards) -> str:
+def _render_info(label: str, ring: FiniteRing, ideals: list) -> str:
     u = units(ring)
-    ideals = two_sided_ideals(ring, guards)
     lines = [
         f"ring: {label} (order {ring.order})",
         f"zero: {ring.name_of(ring.zero)}  one: {ring.name_of(ring.one)}",
@@ -88,14 +87,14 @@ def _render_info(label: str, ring: FiniteRing, guards: Guards) -> str:
     return "\n".join(lines)
 
 
-def _info_doc(label: str, ring: FiniteRing, guards: Guards) -> dict:
+def _info_doc(label: str, ring: FiniteRing, ideals: list) -> dict:
     return {
         "target": label,
         "order": ring.order,
         "zero": ring.zero,
         "one": ring.one,
         "units": sorted(units(ring)),
-        "two_sided_ideals": [sorted(i) for i in two_sided_ideals(ring, guards)],
+        "two_sided_ideals": [sorted(i) for i in ideals],
         "canonical_hash": canonical_hash(ring),
     }
 
@@ -265,7 +264,7 @@ def _run_batch(args, guards: Guards, stdout) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             manifest = parse_manifest(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read manifest: {e}", file=stdout)
         return 2
     except ParseError as e:
@@ -403,8 +402,9 @@ def run(argv=None, stdout=None) -> int:
     try:
         ring = _load_target(args.target, guards)
         if args.verb == "info":
-            doc = _info_doc(args.target, ring, guards)
-            text = _render_info(args.target, ring, guards)
+            ideals = two_sided_ideals(ring, guards)
+            doc = _info_doc(args.target, ring, ideals)
+            text = _render_info(args.target, ring, ideals)
         elif args.verb == "check-axioms":
             doc = {"target": args.target, "order": ring.order, "axioms": "ok"}
             text = f"ring: {args.target} (order {ring.order})\naxioms: ok"

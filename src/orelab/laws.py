@@ -13,16 +13,20 @@ as silent weakening.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, SizeGuardExceeded, ZeroAbsorbed
+from .errors import DEFAULT_GUARDS, Guards, SizeGuardExceeded, ZeroAbsorbed
 from .localize import build_fraction_ring, core_transfer_isomorphism, largest_left_quotient, quotient_model_isomorphism
 from .maxden import (
+    brute_force_denominator_sets,
+    closed_unital_subsets,
     is_localization_maximal,
     localization_profile,
+    max_den,
     product_decomposition,
     saturated_denominator_sets,
 )
-from .oresets import MulSet, ass, core, is_left_denominator, is_left_ore, mul_closure, r_ass
+from .oresets import ass, core, is_left_denominator, is_left_ore, mul_closure, r_ass
 from .rings import (
     CarrierSubset,
     FiniteRing,
@@ -32,6 +36,8 @@ from .rings import (
     is_division_ring,
     is_semiprime,
     minimal_primes,
+    once,
+    one_analysis,
     quotient,
     subgroup_sum,
     two_sided_ideals,
@@ -62,104 +68,72 @@ class LawResult:
 
 
 class LawContext:
-    """Shared lazily-computed state for one verification run."""
+    """The target ring of one law run and the structures the laws share.
+
+    Each property is computed on first use and kept.  Everything heavier
+    (ideal lattices, quotients, fraction rings, profiles of partner
+    products) comes from the memo of the enclosing ``run_laws`` call, so
+    a law that asks the library for an object another law already built
+    gets the same object.
+    """
 
     def __init__(self, ring: FiniteRing, guards: Guards = DEFAULT_GUARDS):
         self.ring = ring
         self.guards = guards
-        self._cache: dict = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def profile(self):
-        return self._get("profile", lambda: localization_profile(self.ring, self.guards))
+        return once(localization_profile, self.ring, self.guards)
 
-    @property
+    @cached_property
     def lq(self):
-        return self._get("lq", lambda: largest_left_quotient(self.ring))
+        return once(largest_left_quotient, self.ring)
 
     @property
     def entries(self):
         return list(zip(self.profile.maximal_ass, self.profile.maximal, self.profile.localizations))
 
-    def family_fraction(self, a: CarrierSubset):
-        frs = self._get("family_frs", dict)
-        if a not in frs:
-            fam = dict(self.profile.saturated)
-            frs[a] = build_fraction_ring(self.ring, fam[a])
-        return frs[a]
-
-    @property
+    @cached_property
     def denominator_sets(self) -> list[CarrierSubset]:
         """Denominator sets to quantify over: the saturated family, plus
         the brute-forced complete list on small rings, plus unital
         closures of single elements elsewhere."""
+        ring = self.ring
+        seen: dict[int, CarrierSubset] = {}
+        for _, s in self.profile.saturated:
+            seen[s.mask] = s.elements
+        if ring.order <= self.guards.brute_force:
+            for s in brute_force_denominator_sets(ring, self.guards):
+                seen.setdefault(s.mask, s.elements)
+        else:
+            for x in range(ring.order):
+                if x == ring.zero:
+                    continue
+                try:
+                    cl = mul_closure(ring, [x, ring.one])
+                except ZeroAbsorbed:
+                    continue
+                if is_left_denominator(ring, cl).holds:
+                    seen.setdefault(cl.mask, cl.elements)
+        return [seen[m] for m in sorted(seen)]
 
-        def build():
-            ring = self.ring
-            seen: dict[int, CarrierSubset] = {}
-            for _, s in self.profile.saturated:
-                sub = CarrierSubset(ring.order, s.mask)
-                seen[sub.mask] = sub
-            if ring.order <= self.guards.brute_force:
-                from .maxden import brute_force_denominator_sets
-
-                for s in brute_force_denominator_sets(ring, self.guards):
-                    seen.setdefault(s.mask, CarrierSubset(ring.order, s.mask))
-            else:
-                for x in range(ring.order):
-                    if x == ring.zero:
-                        continue
-                    try:
-                        cl = mul_closure(ring, [x, ring.one])
-                    except ZeroAbsorbed:
-                        continue
-                    if is_left_denominator(ring, cl).holds:
-                        seen.setdefault(cl.mask, CarrierSubset(ring.order, cl.mask))
-            return [seen[m] for m in sorted(seen)]
-
-        return self._get("den_sets", build)
-
-    @property
+    @cached_property
     def ore_sets(self) -> list[CarrierSubset]:
         """Left Ore sets to quantify over; on small rings this includes
         Ore sets that are not denominator sets."""
-
-        def build():
-            ring = self.ring
-            out = {s.mask: s for s in self.denominator_sets}
-            if ring.order <= self.guards.brute_force:
-                n = ring.order
-                rest = [x for x in range(n) if x not in (ring.zero, ring.one)]
-                mul = ring.mul
-                for bits in range(1 << len(rest)):
-                    members = [ring.one] + [rest[i] for i in range(len(rest)) if (bits >> i) & 1]
-                    mask = 0
-                    for m in members:
-                        mask |= 1 << m
-                    if not all((mask >> mul[a][b]) & 1 for a in members for b in members):
-                        continue
-                    sub = CarrierSubset(n, mask)
-                    if mask not in out and is_left_ore(ring, sub).holds:
-                        out[mask] = sub
-            return [out[m] for m in sorted(out)]
-
-        return self._get("ore_sets", build)
+        out = {s.mask: s for s in self.denominator_sets}
+        if self.ring.order <= self.guards.brute_force:
+            for sub in closed_unital_subsets(self.ring):
+                if sub.mask not in out and is_left_ore(self.ring, sub).holds:
+                    out[sub.mask] = sub
+        return [out[m] for m in sorted(out)]
 
     def partner_product(self, partner_spec: str):
-        """direct product <partner> x <target>, cached per partner."""
+        """direct product <partner> x <target>."""
+        from .catalog import construct
 
-        def build():
-            from .catalog import construct
-
-            partner = construct(partner_spec, self.guards)
-            return direct_product(partner, self.ring, guards=self.guards)
-
-        return self._get(("partner", partner_spec), build)
+        partner = construct(partner_spec, self.guards)
+        return direct_product(partner, self.ring, guards=self.guards)
 
 
 def _unit_inverses(ring: FiniteRing) -> dict[int, int]:
@@ -172,20 +146,6 @@ def _unit_inverses(ring: FiniteRing) -> dict[int, int]:
     return inv
 
 
-def _monoid_closure(ring: FiniteRing, gens) -> set[int]:
-    out = set(gens)
-    out.add(ring.one)
-    queue = list(out)
-    while queue:
-        x = queue.pop()
-        for y in list(out):
-            for p in (ring.mul[x][y], ring.mul[y][x]):
-                if p not in out:
-                    out.add(p)
-                    queue.append(p)
-    return out
-
-
 def _zero_subset(ring: FiniteRing) -> CarrierSubset:
     return CarrierSubset.from_indices(ring.order, [ring.zero])
 
@@ -195,7 +155,7 @@ def _check_largest_quotient_unit_structure(ctx: LawContext):
     lq = ctx.lq
     A = lq.ring
     sig = lq.fractions.sigma
-    lq2 = largest_left_quotient(A)
+    lq2 = once(largest_left_quotient, A)
     problems = []
 
     a_units = units(A)
@@ -208,7 +168,7 @@ def _check_largest_quotient_unit_structure(ctx: LawContext):
     inv = _unit_inverses(A)
     gens = [sig(s) for s in lq.regular_set]
     gens += [inv[g] for g in gens]
-    if _monoid_closure(A, gens) != set(a_units) | {A.one}:
+    if mul_closure(A, gens).elements != a_units:
         problems.append("units are not generated by the mapped denominators and their inverses")
 
     frac_units = {A.mul[inv[sig(s)]][sig(t)] for s in lq.regular_set for t in lq.regular_set}
@@ -265,8 +225,8 @@ def _check_maximal_annihilators_match(ctx: LawContext):
 def _check_maximal_localization_criterion(ctx: LawContext):
     maximal_ass = set(ctx.profile.maximal_ass)
     for a, s in ctx.profile.saturated:
-        fr = ctx.family_fraction(a)
-        is_max_ring = is_localization_maximal(fr.ring, ctx.guards)
+        fr = once(build_fraction_ring, ctx.ring, s.elements)
+        is_max_ring = once(is_localization_maximal, fr.ring, ctx.guards)
         if is_max_ring != (a in maximal_ass):
             return (
                 False,
@@ -298,16 +258,12 @@ def _check_product_lifting(ctx: LawContext):
     prod = ctx.partner_product("gf(2)")
     p_ring = prod.ring
     factors = prod.factors
-    fam_p = saturated_denominator_sets(p_ring, ctx.guards)
-    from .maxden import _maximal_entries
-
-    max_p = {s.mask for _, s in _maximal_entries(fam_p)}
+    max_p = {s.mask for s in max_den(p_ring, ctx.guards)}
 
     expected = {}
     for slot, factor in enumerate(factors):
-        fam_i = saturated_denominator_sets(factor, ctx.guards)
-        for a_i, s_i in _maximal_entries(fam_i):
-            expected[(slot, s_i.mask)] = (a_i, s_i)
+        for s_i in max_den(factor, ctx.guards):
+            expected[(slot, s_i.mask)] = (ass(s_i), s_i)
     expected_masks = {
         _lifted_mask(prod, slot, set(s)) for (slot, _), (_, s) in expected.items()
     }
@@ -324,8 +280,8 @@ def _check_product_lifting(ctx: LawContext):
         if a_lifted != want_ass:
             return False, True, f"lifted annihilator mismatch in slot {slot}"
 
-        fr_p = build_fraction_ring(p_ring, lifted)
-        fr_i = build_fraction_ring(factor, s_i)
+        fr_p = once(build_fraction_ring, p_ring, lifted)
+        fr_i = once(build_fraction_ring, factor, s_i.elements)
         table = tuple(
             fr_i.class_of(prod.decode(s)[slot], prod.decode(r)[slot]) for s, r in fr_p.reps
         )
@@ -352,12 +308,12 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
         return True, False, "the ring does not split into localization-maximal pieces"
     factors = dec.factors
     for idx, f in enumerate(factors):
-        if not is_localization_maximal(f, ctx.guards):
+        if not once(is_localization_maximal, f, ctx.guards):
             return False, True, f"declared factor {idx} is not localization maximal"
 
     prod = direct_product(*factors, guards=ctx.guards)
     p_ring = prod.ring
-    p_profile = localization_profile(p_ring, ctx.guards)
+    p_profile = once(localization_profile, p_ring, ctx.guards)
     n = len(factors)
     problems = []
 
@@ -380,9 +336,9 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
                 problems.append(f"annihilators {i},{j} are not comaximal")
 
     for i, f in enumerate(factors):
-        fr = build_fraction_ring(p_ring, lifted[i])
+        fr = once(build_fraction_ring, p_ring, lifted[i])
         theta = quotient_model_isomorphism(fr)
-        q_i, proj_i = quotient(p_ring, fr.sigma.kernel())
+        q_i, proj_i = once(quotient, p_ring, fr.sigma.kernel())
         coord = [None] * q_i.order
         for p in range(p_ring.order):
             c = proj_i(p)
@@ -402,7 +358,7 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
 
     if p_profile.radical != _zero_subset(p_ring):
         problems.append("product has a nonzero localization radical")
-    dec_p = product_decomposition(p_ring, ctx.guards)
+    dec_p = once(product_decomposition, p_ring, ctx.guards)
     if not (dec_p.succeeded and dec_p.n_factors == n and dec_p.iso.is_bijective()):
         problems.append("coordinate map of the product is not an isomorphism")
 
@@ -458,8 +414,8 @@ def _check_splitting_round_trip(ctx: LawContext):
     )
     c4 = True
     for a, _, _ in entries:
-        q, _ = quotient(ring, a)
-        if not is_localization_maximal(q, ctx.guards):
+        q, _ = once(quotient, ring, a)
+        if not once(is_localization_maximal, q, ctx.guards):
             c4 = False
             break
     expected = c2 and c3 and c4
@@ -503,7 +459,7 @@ def _check_product_localizability_transfer(ctx: LawContext):
             prod = ctx.partner_product(spec)
         except SizeGuardExceeded:
             continue
-        verdict = localization_profile(prod.ring, ctx.guards).verdict.localizable
+        verdict = once(localization_profile, prod.ring, ctx.guards).verdict.localizable
         want = factor_loc and mine
         if verdict is None:
             return True, False, f"partner {spec} verdict is partial"
@@ -519,8 +475,8 @@ def _check_maximal_localization_properties(ctx: LawContext):
     ring = ctx.ring
     for a, s, fr in ctx.entries:
         A = fr.ring
-        q, proj = quotient(ring, a)
-        lqq = largest_left_quotient(q)
+        q, proj = once(quotient, ring, a)
+        lqq = once(largest_left_quotient, q)
         theta = quotient_model_isomorphism(fr)
 
         pulled = CarrierSubset.from_indices(
@@ -545,7 +501,7 @@ def _check_maximal_localization_properties(ctx: LawContext):
             return False, True, "localization is not the largest quotient of the factor"
 
         a_units = set(units(A))
-        lqa = largest_left_quotient(A)
+        lqa = once(largest_left_quotient, A)
         if set(lqa.regular_set) != a_units:
             return False, True, "regular set of the localization is not its unit group"
         if unit_pullback(theta) != units(q):
@@ -557,15 +513,15 @@ def _check_maximal_localization_properties(ctx: LawContext):
         inv = _unit_inverses(A)
         gens = [theta(proj(x)) for x in s]
         gens += [inv[g] for g in gens]
-        if _monoid_closure(A, gens) != a_units | {A.one}:
+        if set(mul_closure(A, gens)) != a_units:
             return False, True, "units are not generated by the projected set"
         pair_units = {A.mul[inv[theta(proj(x))]][theta(proj(y))] for x in s for y in s}
         if pair_units != a_units:
             return False, True, "units are not the two-element fractions of the set"
 
-        if not is_localization_maximal(A, ctx.guards):
+        if not once(is_localization_maximal, A, ctx.guards):
             return False, True, "maximal localization is not localization maximal"
-        fam_a = saturated_denominator_sets(A, ctx.guards)
+        fam_a = once(saturated_denominator_sets, A, ctx.guards)
         zero_a = _zero_subset(A)
         for b, t in fam_a.items():
             if b == zero_a and not CarrierSubset(A.order, t.mask).issubset(units(A)):
@@ -653,7 +609,7 @@ def _check_isolated_component_denominators(ctx: LawContext):
         if ass(ring, ci) != a:
             return False, True, f"component set {i} has the wrong annihilator"
         try:
-            cfr = build_fraction_ring(ring, ci)
+            cfr = once(build_fraction_ring, ring, ci)
         except Exception as e:  # noqa: BLE001 - any failure is a law failure here
             return False, True, f"component localization {i} failed: {e}"
         table = tuple(fr.class_of(sv, rv) for sv, rv in cfr.reps)
@@ -675,7 +631,7 @@ def _check_isolated_component_denominators(ctx: LawContext):
     if ass(ring, csum) != _zero_subset(ring):
         return False, True, "summed component set has a nonzero annihilator"
     try:
-        sfr = build_fraction_ring(ring, csum)
+        sfr = once(build_fraction_ring, ring, csum)
     except Exception as e:  # noqa: BLE001
         return False, True, f"summed component localization failed: {e}"
     if not sfr.sigma.is_bijective():
@@ -711,7 +667,7 @@ def _check_irredundant_division_presentation(ctx: LawContext):
     # division localizations with jointly-zero annihilators is complete
     division_asses = []
     for a, s in ctx.profile.saturated:
-        fr = ctx.family_fraction(a)
+        fr = once(build_fraction_ring, ring, s.elements)
         if is_division_ring(fr.ring):
             division_asses.append(a)
     joint = (1 << ring.order) - 1
@@ -729,12 +685,8 @@ def _check_irredundant_division_presentation(ctx: LawContext):
 
     n = len(ctx.entries)
     if n >= 2:
-        for i in range(n):
-            mask = (1 << ring.order) - 1
-            for j in range(n):
-                if j != i:
-                    mask &= ctx.entries[j][0].mask
-            if CarrierSubset(ring.order, mask) == _zero_subset(ring):
+        for i, cross in enumerate(_cross_annihilator_sets(ctx)):
+            if not cross:
                 return False, True, f"factor {i} can be dropped without losing injectivity"
     for i, (a, s, fr) in enumerate(ctx.entries):
         if unit_pullback(fr.sigma).mask != s.mask:
@@ -749,14 +701,14 @@ def _check_four_way_localizability(ctx: LawContext):
     s1 = prof.localizable == nonzero
 
     lq = ctx.lq
-    dec_q = product_decomposition(lq.ring, ctx.guards)
+    dec_q = once(product_decomposition, lq.ring, ctx.guards)
     s24 = dec_q.succeeded and all(dec_q.factor_division)
 
     try:
-        semiprime = is_semiprime(ring, ctx.guards)
+        semiprime = once(is_semiprime, ring, ctx.guards)
         if semiprime:
             ud = uniform_dimension(ring, ctx.guards)
-            mins = minimal_primes(ring, ctx.guards)
+            mins = once(minimal_primes, ring, ctx.guards)
             s3 = ud == len(mins) == len(ctx.entries)
         else:
             s3 = False
@@ -788,21 +740,14 @@ def _check_regular_set_transport(ctx: LawContext):
     # makes this the identity correspondence, which we assert after
     # running the generic generate-and-pull-back path
     t_sub = max(faithful, key=lambda sub: sub.mask.bit_count())
-    tfr = build_fraction_ring(ring, t_sub)
+    tfr = once(build_fraction_ring, ring, t_sub)
     A = tfr.ring
     inv = _unit_inverses(A)
-    fam_a = saturated_denominator_sets(A, ctx.guards)
-    from .maxden import _maximal_entries
-
-    max_a = {s.mask for _, s in _maximal_entries(fam_a)}
+    max_a = {s.mask for s in max_den(A, ctx.guards)}
     transported = {}
     for a, s, fr in ctx.entries:
         gens = [tfr.sigma(x) for x in s] + [inv[tfr.sigma(t)] for t in t_sub]
-        closure = _monoid_closure(A, gens)
-        mask = 0
-        for v in closure:
-            mask |= 1 << v
-        transported[s.mask] = mask
+        transported[s.mask] = mul_closure(A, gens).mask
     if set(transported.values()) != max_a:
         return False, True, "transported sets are not the maximal sets of the localization"
     if len(set(transported.values())) != len(transported):
@@ -816,7 +761,7 @@ def _check_regular_set_transport(ctx: LawContext):
             return False, True, "pulling a transported set back does not return the original"
     for a, s, fr in ctx.entries:
         t_set = CarrierSubset(A.order, transported[s.mask])
-        afr = build_fraction_ring(A, t_set)
+        afr = once(build_fraction_ring, A, t_set)
         table = [None] * fr.ring.order
         for sv, rv in fr.reps:
             table[fr.class_of(sv, rv)] = afr.class_of(tfr.sigma(sv), tfr.sigma(rv))
@@ -831,14 +776,14 @@ def _check_regular_set_transport(ctx: LawContext):
 
 def _check_semiprime_maximal_sets(ctx: LawContext):
     ring = ctx.ring
-    if not is_semiprime(ring, ctx.guards):
+    if not once(is_semiprime, ring, ctx.guards):
         return True, False, "target is not semiprime"
     lq = ctx.lq
-    dec = product_decomposition(lq.ring, ctx.guards)
+    dec = once(product_decomposition, lq.ring, ctx.guards)
     if not dec.succeeded:
         return False, True, "quotient of a semiprime ring does not split"
     for idx, f in enumerate(dec.factors):
-        if len(two_sided_ideals(f, ctx.guards)) != 2:
+        if len(once(two_sided_ideals, f, ctx.guards)) != 2:
             return False, True, f"splitting factor {idx} is not simple"
 
     u = units(ring)
@@ -906,7 +851,7 @@ def _check_core_localization_equivalence(ctx: LawContext):
             return False, True, f"core fails the denominator test at {verdict.witness}"
         if ass(ring, c) != ass(ring, sub):
             return False, True, "core has a different annihilator"
-        fr = build_fraction_ring(ring, sub)
+        fr = once(build_fraction_ring, ring, sub)
         core_transfer_isomorphism(fr)
     return True, True, f"cores of {len(ctx.denominator_sets)} sets localize identically"
 
@@ -1005,11 +950,12 @@ def run_laws(ring: FiniteRing, ids=None, guards: Guards = DEFAULT_GUARDS) -> lis
         raise KeyError(f"unknown law ids: {', '.join(unknown)}")
     ctx = LawContext(ring, guards)
     results = []
-    for law_id in ids:
-        name, fn = LAW_REGISTRY[law_id]
-        try:
-            holds, applicable, detail = fn(ctx)
-        except SizeGuardExceeded as e:
-            holds, applicable, detail = True, False, f"skipped: {e}"
-        results.append(LawResult(law_id, name, holds, applicable, detail))
+    with one_analysis():
+        for law_id in ids:
+            name, fn = LAW_REGISTRY[law_id]
+            try:
+                holds, applicable, detail = fn(ctx)
+            except SizeGuardExceeded as e:
+                holds, applicable, detail = True, False, f"skipped: {e}"
+            results.append(LawResult(law_id, name, holds, applicable, detail))
     return results

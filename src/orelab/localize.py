@@ -24,6 +24,7 @@ from .rings import (
     FiniteRing,
     RingMap,
     hom_is_R_isomorphism,
+    once,
     quotient,
     regular_elements,
     unit_pullback,
@@ -197,7 +198,7 @@ def quotient_model_isomorphism(fr: FractionRing) -> RingMap:
     """
     ring = fr.base
     a = fr.sigma.kernel()
-    q, proj = quotient(ring, a)
+    q, proj = once(quotient, ring, a)
     table: list[int | None] = [None] * q.order
     for x in range(ring.order):
         c, v = proj(x), fr.sigma(x)
@@ -220,7 +221,7 @@ def core_transfer_isomorphism(fr: FractionRing) -> tuple[FractionRing, RingMap]:
     c = core(ring, fr.dens)
     if not c:
         raise InternalInconsistency("a left Ore set on a finite ring has an empty core")
-    cfr = build_fraction_ring(ring, c)
+    cfr = once(build_fraction_ring, ring, c)
     table = tuple(fr.class_of(s, r) for s, r in cfr.reps)
     try:
         theta = RingMap(cfr.ring, fr.ring, table)
@@ -254,7 +255,7 @@ def largest_left_quotient(ring: FiniteRing) -> LargestQuotient:
     """
     zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
     u = units(ring)
-    if unit_pullback(quotient(ring, zero_ideal)[1]) != u:
+    if unit_pullback(once(quotient, ring, zero_ideal)[1]) != u:
         raise InternalInconsistency("unit pullback through R/0 differs from the unit group")
     if regular_elements(ring) != u:
         raise InternalInconsistency("regular elements differ from units on a finite ring")
@@ -262,7 +263,7 @@ def largest_left_quotient(ring: FiniteRing) -> LargestQuotient:
     den = is_left_denominator(s0)
     if not den.holds:
         raise InternalInconsistency(f"the unit group failed the denominator test at {den.witness}")
-    fr = build_fraction_ring(ring, s0)
+    fr = once(build_fraction_ring, ring, u)
     return LargestQuotient(s0, fr, True)
 
 

@@ -10,6 +10,7 @@ and cross-checked against an independent route wherever one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, SizeGuardExceeded
 from .localize import FractionRing, build_fraction_ring, largest_left_quotient, quotient_model_isomorphism
@@ -22,6 +23,8 @@ from .rings import (
     is_division_ring,
     is_semiprime,
     minimal_primes,
+    once,
+    one_analysis,
     opposite,
     quotient,
     subgroup_sum,
@@ -162,10 +165,10 @@ def saturated_denominator_sets(
     annihilator is exactly the ideal it came from.
     """
     out: dict[CarrierSubset, MulSet] = {}
-    for a in two_sided_ideals(ring, guards):
+    for a in once(two_sided_ideals, ring, guards):
         if len(a) == ring.order:
             continue
-        t = unit_pullback(quotient(ring, a)[1])
+        t = unit_pullback(once(quotient, ring, a)[1])
         if not is_left_denominator(ring, t).holds:
             continue
         if ass(ring, t) != a:
@@ -174,6 +177,24 @@ def saturated_denominator_sets(
     if not out:
         raise InternalInconsistency("the unit group went missing from the saturated family")
     return out
+
+
+def closed_unital_subsets(ring: FiniteRing) -> Iterator[CarrierSubset]:
+    """Every multiplicatively closed subset that holds one but not zero.
+
+    Walks all 2^(n-2) candidates in mask order, so callers check the
+    brute-force guard first.
+    """
+    n = ring.order
+    mul = ring.mul
+    rest = [x for x in range(n) if x not in (ring.zero, ring.one)]
+    for bits in range(1 << len(rest)):
+        members = [ring.one] + [rest[i] for i in range(len(rest)) if (bits >> i) & 1]
+        mask = 0
+        for m in members:
+            mask |= 1 << m
+        if all((mask >> mul[a][b]) & 1 for a in members for b in members):
+            yield CarrierSubset(n, mask)
 
 
 def brute_force_denominator_sets(
@@ -188,20 +209,11 @@ def brute_force_denominator_sets(
     n = ring.order
     if n > guards.brute_force:
         raise SizeGuardExceeded("brute-force denominator enumeration", n, guards.brute_force)
-    mul = ring.mul
-    rest = [x for x in range(n) if x not in (ring.zero, ring.one)]
-    found: list[MulSet] = []
-    for bits in range(1 << len(rest)):
-        members = [ring.one] + [rest[i] for i in range(len(rest)) if (bits >> i) & 1]
-        mask = 0
-        for m in members:
-            mask |= 1 << m
-        closed = all((mask >> mul[a][b]) & 1 for a in members for b in members)
-        if not closed:
-            continue
-        sub = CarrierSubset(n, mask)
-        if is_left_denominator(ring, sub).holds:
-            found.append(MulSet(ring, sub))
+    found = [
+        MulSet(ring, sub)
+        for sub in closed_unital_subsets(ring)
+        if is_left_denominator(ring, sub).holds
+    ]
     found.sort(key=lambda s: (len(s), s.mask))
     return found
 
@@ -230,7 +242,7 @@ def _maximal_entries(
 
 def max_den(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[MulSet]:
     """The maximal left denominator sets, smallest annihilator first."""
-    return [s for _, s in _maximal_entries(saturated_denominator_sets(ring, guards))]
+    return [s for _, s in _maximal_entries(once(saturated_denominator_sets, ring, guards))]
 
 
 def left_localization_radical(
@@ -242,8 +254,8 @@ def left_localization_radical(
     maximal localizations, which is computed by the Ore calculus rather
     than from the ideal family.
     """
-    entries = _maximal_entries(saturated_denominator_sets(ring, guards))
-    frs = [build_fraction_ring(ring, s) for _, s in entries]
+    entries = _maximal_entries(once(saturated_denominator_sets, ring, guards))
+    frs = [once(build_fraction_ring, ring, s.elements) for _, s in entries]
     return _radical_from(ring, entries, frs)
 
 
@@ -266,21 +278,16 @@ def is_localization_maximal(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -
     saturated family.  The largest quotient must then collapse onto the
     ring itself, which is asserted.
     """
-    family = saturated_denominator_sets(ring, guards)
+    family = once(saturated_denominator_sets, ring, guards)
     zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
     answer = set(family.keys()) == {zero_ideal}
-    lq = largest_left_quotient(ring)
+    lq = once(largest_left_quotient, ring)
     if not lq.fractions.sigma.is_bijective():
         raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
     return answer
 
 
-def product_decomposition(
-    ring: FiniteRing,
-    guards: Guards = DEFAULT_GUARDS,
-    _entries: list[tuple[CarrierSubset, MulSet]] | None = None,
-    _localizations: list[FractionRing] | None = None,
-) -> Decomposition:
+def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Decomposition:
     """Try to split the ring along its maximal denominator sets.
 
     Four conditions are tested; when they all hold the coordinate map
@@ -288,9 +295,7 @@ def product_decomposition(
     expected identifications (unit pullbacks, projection kernels, the
     localizations themselves) are verified on the result.
     """
-    if _entries is None:
-        _entries = _maximal_entries(saturated_denominator_sets(ring, guards))
-    entries = _entries
+    entries = _maximal_entries(once(saturated_denominator_sets, ring, guards))
     n_factors = len(entries)
     full = CarrierSubset.full(ring.order)
     zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
@@ -325,9 +330,9 @@ def product_decomposition(
     quotients: list[tuple[FiniteRing, RingMap]] = []
     fac_ok, fac_detail = True, ""
     for idx, (a, _) in enumerate(entries):
-        q, proj = quotient(ring, a)
+        q, proj = once(quotient, ring, a)
         quotients.append((q, proj))
-        if fac_ok and not is_localization_maximal(q, guards):
+        if fac_ok and not once(is_localization_maximal, q, guards):
             fac_ok = False
             fac_detail = f"quotient by annihilator {idx} still localizes properly"
     conditions.append(Condition("localization-maximal-quotients", fac_ok, fac_detail))
@@ -346,9 +351,8 @@ def product_decomposition(
     if not iso.is_bijective():
         raise InternalInconsistency("coordinate map onto the product is not bijective")
 
-    if _localizations is None:
-        _localizations = [build_fraction_ring(ring, s) for _, s in entries]
-    for idx, ((a, s), (_, proj), fr) in enumerate(zip(entries, quotients, _localizations)):
+    for idx, ((a, s), (_, proj)) in enumerate(zip(entries, quotients)):
+        fr = once(build_fraction_ring, ring, s.elements)
         if unit_pullback(proj).mask != s.mask:
             raise InternalInconsistency(f"factor {idx} is not the unit pullback of its quotient")
         if proj.kernel() != a:
@@ -376,111 +380,112 @@ def localization_profile(
     ring: FiniteRing, guards: Guards = DEFAULT_GUARDS
 ) -> LocalizationProfile:
     """Full left-localization analysis of one ring."""
-    family = saturated_denominator_sets(ring, guards)
-    entries = _maximal_entries(family)
-    localizations = [build_fraction_ring(ring, s) for _, s in entries]
-    radical = _radical_from(ring, entries, localizations)
+    with one_analysis():
+        family = once(saturated_denominator_sets, ring, guards)
+        entries = _maximal_entries(family)
+        localizations = [once(build_fraction_ring, ring, s.elements) for _, s in entries]
+        radical = _radical_from(ring, entries, localizations)
 
-    loc_mask = 0
-    for _, s in entries:
-        loc_mask |= s.mask
-    com_mask = (1 << ring.order) - 1
-    for _, s in entries:
-        com_mask &= s.mask
-    localizable = CarrierSubset(ring.order, loc_mask)
-    completely = CarrierSubset(ring.order, com_mask)
-    non_localizable = localizable.complement()
+        loc_mask = 0
+        for _, s in entries:
+            loc_mask |= s.mask
+        com_mask = (1 << ring.order) - 1
+        for _, s in entries:
+            com_mask &= s.mask
+        localizable = CarrierSubset(ring.order, loc_mask)
+        completely = CarrierSubset(ring.order, com_mask)
+        non_localizable = localizable.complement()
 
-    u_mask = units(ring).mask
-    if (u_mask | com_mask) != com_mask:
-        raise InternalInconsistency("a unit escaped a maximal denominator set")
-    if ring.zero not in non_localizable:
-        raise InternalInconsistency("zero claimed to be localizable")
-    if not radical.issubset(non_localizable):
-        raise InternalInconsistency("the localization radical met a localizable element")
+        u_mask = units(ring).mask
+        if (u_mask | com_mask) != com_mask:
+            raise InternalInconsistency("a unit escaped a maximal denominator set")
+        if ring.zero not in non_localizable:
+            raise InternalInconsistency("zero claimed to be localizable")
+        if not radical.issubset(non_localizable):
+            raise InternalInconsistency("the localization radical met a localizable element")
 
-    routes: list[RouteResult] = []
+        routes: list[RouteResult] = []
 
-    nonzero = CarrierSubset.full(ring.order) - CarrierSubset.from_indices(ring.order, [ring.zero])
-    v1 = localizable == nonzero
-    bad = sorted(non_localizable - CarrierSubset.from_indices(ring.order, [ring.zero]))
-    routes.append(
-        RouteResult(
-            _ROUTE_ELEMENTS,
-            True,
-            v1,
-            "" if v1 else "stuck elements: {" + ", ".join(ring.name_of(x) for x in bad) + "}",
-        )
-    )
-
-    zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
-    rad_zero = radical == zero_ideal
-    divs = [is_division_ring(fr.ring) for fr in localizations]
-    v2 = rad_zero and all(divs)
-    if v2:
-        d2 = ""
-    elif not rad_zero:
-        d2 = "radical is nonzero"
-    else:
-        d2 = f"localization {divs.index(False)} is not a division ring"
-    routes.append(RouteResult(_ROUTE_RADICAL, True, v2, d2))
-
-    try:
-        sp = is_semiprime(ring, guards)
-        if not sp:
-            routes.append(RouteResult(_ROUTE_GOLDIE, True, False, "not semiprime"))
-        else:
-            mins = minimal_primes(ring, guards)
-            ud = uniform_dimension(ring, guards)
-            v3 = ud == len(mins) == len(entries)
-            d3 = (
-                ""
-                if v3
-                else f"uniform dimension {ud}, minimal primes {len(mins)}, maximal sets {len(entries)}"
+        nonzero = CarrierSubset.full(ring.order) - CarrierSubset.from_indices(ring.order, [ring.zero])
+        v1 = localizable == nonzero
+        bad = sorted(non_localizable - CarrierSubset.from_indices(ring.order, [ring.zero]))
+        routes.append(
+            RouteResult(
+                _ROUTE_ELEMENTS,
+                True,
+                v1,
+                "" if v1 else "stuck elements: {" + ", ".join(ring.name_of(x) for x in bad) + "}",
             )
-            routes.append(RouteResult(_ROUTE_GOLDIE, True, v3, d3))
-    except SizeGuardExceeded as e:
-        routes.append(RouteResult(_ROUTE_GOLDIE, False, None, f"skipped: {e}"))
-
-    try:
-        lq = largest_left_quotient(ring)
-        dec_q = product_decomposition(lq.ring, guards)
-        v4 = dec_q.succeeded and all(dec_q.factor_division)
-        if v4:
-            d4 = ""
-        elif not dec_q.succeeded:
-            failed = next(c for c in dec_q.conditions if not c.holds)
-            d4 = f"splitting fails: {failed.name}"
-        else:
-            d4 = "a split factor is not a division ring"
-        routes.append(RouteResult(_ROUTE_QUOTIENT, True, v4, d4))
-    except SizeGuardExceeded as e:
-        routes.append(RouteResult(_ROUTE_QUOTIENT, False, None, f"skipped: {e}"))
-
-    values = {r.value for r in routes if r.ran}
-    if len(values) > 1:
-        raise InternalInconsistency(
-            "localizability routes disagree: "
-            + "; ".join(f"{r.name}={r.value}" for r in routes if r.ran)
         )
-    partial = not all(r.ran for r in routes)
-    verdict = LocalizabilityVerdict(values.pop() if values else None, partial, tuple(routes))
 
-    dec = product_decomposition(ring, guards, _entries=entries, _localizations=localizations)
+        zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
+        rad_zero = radical == zero_ideal
+        divs = [is_division_ring(fr.ring) for fr in localizations]
+        v2 = rad_zero and all(divs)
+        if v2:
+            d2 = ""
+        elif not rad_zero:
+            d2 = "radical is nonzero"
+        else:
+            d2 = f"localization {divs.index(False)} is not a division ring"
+        routes.append(RouteResult(_ROUTE_RADICAL, True, v2, d2))
 
-    return LocalizationProfile(
-        ring,
-        tuple((a, s) for a, s in family.items()),
-        tuple(s for _, s in entries),
-        tuple(a for a, _ in entries),
-        tuple(localizations),
-        radical,
-        localizable,
-        completely,
-        non_localizable,
-        verdict,
-        dec,
-    )
+        try:
+            sp = once(is_semiprime, ring, guards)
+            if not sp:
+                routes.append(RouteResult(_ROUTE_GOLDIE, True, False, "not semiprime"))
+            else:
+                mins = once(minimal_primes, ring, guards)
+                ud = uniform_dimension(ring, guards)
+                v3 = ud == len(mins) == len(entries)
+                d3 = (
+                    ""
+                    if v3
+                    else f"uniform dimension {ud}, minimal primes {len(mins)}, maximal sets {len(entries)}"
+                )
+                routes.append(RouteResult(_ROUTE_GOLDIE, True, v3, d3))
+        except SizeGuardExceeded as e:
+            routes.append(RouteResult(_ROUTE_GOLDIE, False, None, f"skipped: {e}"))
+
+        try:
+            lq = once(largest_left_quotient, ring)
+            dec_q = once(product_decomposition, lq.ring, guards)
+            v4 = dec_q.succeeded and all(dec_q.factor_division)
+            if v4:
+                d4 = ""
+            elif not dec_q.succeeded:
+                failed = next(c for c in dec_q.conditions if not c.holds)
+                d4 = f"splitting fails: {failed.name}"
+            else:
+                d4 = "a split factor is not a division ring"
+            routes.append(RouteResult(_ROUTE_QUOTIENT, True, v4, d4))
+        except SizeGuardExceeded as e:
+            routes.append(RouteResult(_ROUTE_QUOTIENT, False, None, f"skipped: {e}"))
+
+        values = {r.value for r in routes if r.ran}
+        if len(values) > 1:
+            raise InternalInconsistency(
+                "localizability routes disagree: "
+                + "; ".join(f"{r.name}={r.value}" for r in routes if r.ran)
+            )
+        partial = not all(r.ran for r in routes)
+        verdict = LocalizabilityVerdict(values.pop() if values else None, partial, tuple(routes))
+
+        dec = once(product_decomposition, ring, guards)
+
+        return LocalizationProfile(
+            ring,
+            tuple((a, s) for a, s in family.items()),
+            tuple(s for _, s in entries),
+            tuple(a for a, _ in entries),
+            tuple(localizations),
+            radical,
+            localizable,
+            completely,
+            non_localizable,
+            verdict,
+            dec,
+        )
 
 
 def is_left_localizable(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool | None:
@@ -514,18 +519,12 @@ def sided_profiles(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> SidedPr
     carrier fixed.
     """
     left = localization_profile(ring, guards)
-    op = opposite(ring)
-    right = localization_profile(op, guards)
+    right = localization_profile(opposite(ring), guards)
 
-    two: dict[CarrierSubset, MulSet] = {}
-    for a in two_sided_ideals(ring, guards):
-        if len(a) == ring.order:
-            continue
-        t = unit_pullback(quotient(ring, a)[1])
-        left_ok = is_left_denominator(ring, t).holds and ass(ring, t) == a
-        right_ok = is_left_denominator(op, t).holds and ass(op, t) == a
-        if left_ok and right_ok:
-            two[a] = MulSet(ring, t)
+    # both families pull the units of R/a back to the same set, so a set is
+    # two-sided exactly when its annihilator ideal keys both families
+    right_family = dict(right.saturated)
+    two = {a: s for a, s in left.saturated if a in right_family}
     maximal_two = [s for _, s in _maximal_entries(two)]
 
     com_mask = (1 << ring.order) - 1

@@ -10,6 +10,10 @@ as unital ring homomorphisms.
 
 from __future__ import annotations
 
+import inspect
+import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -259,8 +263,12 @@ class FiniteRing:
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteRing) and self.structure_key == other.structure_key
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash(self.structure_key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<FiniteRing order={self.order} zero={self.zero} one={self.one}>"
@@ -291,6 +299,45 @@ class FiniteRing:
 def from_tables(order, add, mul, zero, one, names=None) -> FiniteRing:
     """Build and fully validate a ring from raw tables."""
     return FiniteRing(order, add, mul, zero, one, names)
+
+
+# -- one memo per analysis -------------------------------------------------
+
+_MEMO: ContextVar[dict | None] = ContextVar("orelab_memo", default=None)
+
+
+@contextmanager
+def one_analysis():
+    """Share one memo until the outermost enclosing analysis returns."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def once(fn, *args):
+    """fn(*args), computed at most once inside one_analysis().
+
+    A ring enters the key together with its element names: equal tables
+    may name their elements differently, and reports print the names.
+    On a miss fn is called through its module attribute, looked up now,
+    so a wrapper installed there sees every build and no hit.  Outside an
+    analysis this is a plain call.  Results are shared, so callers must
+    treat them as read-only.
+    """
+    fn = inspect.unwrap(fn)
+    call = getattr(sys.modules[fn.__module__], fn.__name__)
+    memo = _MEMO.get()
+    if memo is None:
+        return call(*args)
+    key = (fn,) + tuple((a, a.names) if isinstance(a, FiniteRing) else a for a in args)
+    if key not in memo:
+        memo[key] = call(*args)
+    return memo[key]
 
 
 # -- element classes ----------------------------------------------------
@@ -540,7 +587,7 @@ def _is_prime_ideal(ring: FiniteRing, p: CarrierSubset, mul3: np.ndarray) -> boo
 
 def minimal_primes(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[CarrierSubset]:
     """Inclusion-minimal prime ideals, via the a*R*b containment test."""
-    ideals = two_sided_ideals(ring, guards)
+    ideals = once(two_sided_ideals, ring, guards)
     M = ring.np_mul
     mul3 = M[M]  # mul3[a, r, b] = (a*r)*b
     primes = [p for p in ideals if len(p) < ring.order and _is_prime_ideal(ring, p, mul3)]
@@ -554,26 +601,27 @@ def minimal_primes(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[Ca
 
 def is_semiprime(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool:
     """No nonzero ideal squares to zero; cross-checked against Min(R)."""
-    ideals = two_sided_ideals(ring, guards)
-    zero = ring.zero
-    mul = ring.mul
-    by_squares = True
-    for ideal in ideals:
-        if len(ideal) == 1:
-            continue
-        elems = ideal.indices()
-        if all(mul[a][b] == zero for a in elems for b in elems):
-            by_squares = False
-            break
-    inter = (1 << ring.order) - 1
-    for p in minimal_primes(ring, guards):
-        inter &= p.mask
-    by_primes = inter == (1 << zero)
-    if by_primes != by_squares:
-        raise InternalInconsistency(
-            f"semiprime tests disagree: prime-intersection {by_primes}, square-zero {by_squares}"
-        )
-    return by_squares
+    with one_analysis():
+        ideals = once(two_sided_ideals, ring, guards)
+        zero = ring.zero
+        mul = ring.mul
+        by_squares = True
+        for ideal in ideals:
+            if len(ideal) == 1:
+                continue
+            elems = ideal.indices()
+            if all(mul[a][b] == zero for a in elems for b in elems):
+                by_squares = False
+                break
+        inter = (1 << ring.order) - 1
+        for p in once(minimal_primes, ring, guards):
+            inter &= p.mask
+        by_primes = inter == (1 << zero)
+        if by_primes != by_squares:
+            raise InternalInconsistency(
+                f"semiprime tests disagree: prime-intersection {by_primes}, square-zero {by_squares}"
+            )
+        return by_squares
 
 
 def uniform_dimension(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> int:
@@ -659,7 +707,7 @@ class RingMap:
 
 def unit_pullback(f: RingMap) -> CarrierSubset:
     """{x : f(x) is a unit of f.target}."""
-    u = units(f.target)
+    u = once(units, f.target)
     return CarrierSubset.from_indices(f.source.order, (x for x, v in enumerate(f.table) if v in u))
 
 

@@ -23,6 +23,7 @@ from orelab import (
     is_division_ring,
     largest_left_quotient,
     localization_profile,
+    max_den,
     run_laws,
     saturate,
     saturated_denominator_sets,
@@ -30,7 +31,6 @@ from orelab import (
 )
 from orelab.cli import run as cli_run
 from orelab.laws import _lifted_mask
-from orelab.maxden import _maximal_entries
 from orelab.rings import hom_is_R_isomorphism
 
 SMALL_SPECS = (
@@ -147,10 +147,11 @@ def test_criterion_04_core_laws(small_densets):
 
 def _assert_lifted_families(prod, factors):
     p_ring = prod.ring
-    got = {s.mask for _, s in _maximal_entries(saturated_denominator_sets(p_ring))}
+    got = {s.mask for s in max_den(p_ring)}
     expected = {}
     for slot, factor in enumerate(factors):
-        for a_i, s_i in _maximal_entries(saturated_denominator_sets(factor)):
+        for s_i in max_den(factor):
+            a_i = ass(s_i)
             lifted = _lifted_mask(prod, slot, set(s_i))
             expected[lifted] = (slot, a_i, s_i)
     assert set(expected) == got, "maximal sets are not the lifted factor families"

@@ -226,8 +226,19 @@ def test_batch_json_and_out(tmp_path):
     assert sorted(os.listdir(out_dir)) == ["000_zmod-6.json", "001_gf-4.json", "summary.json"]
 
 
-def test_batch_missing_manifest():
+def test_batch_missing_manifest(tmp_path):
     assert _run(["batch", "--manifest", "/definitely/missing.txt"])[0] == 2
+    undecodable = tmp_path / "manifest.bin"
+    undecodable.write_bytes(b"\xff\xfe\x00")
+    code, out = _run(["batch", "--manifest", str(undecodable)])
+    assert code == 2 and out.startswith("cannot read manifest:")
+
+
+def test_undecodable_ring_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "ring.bin"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out = _run(["info", str(path)])
+    assert code == 2 and out.startswith("parse error:")
 
 
 def test_unknown_verb_and_missing_args():

@@ -165,3 +165,11 @@ def test_decomposition_product_catalog():
     assert sorted(f.order for f in dec.factors) == [3, 4]
     # localizability still fails because one factor is not a division ring
     assert not is_left_localizable(ring)
+
+
+def test_splitting_condition_names_the_rings_own_elements(t2f2):
+    # the largest quotient of this ring has the same tables under other
+    # element names; the ring's own report must keep its own names
+    dec = localization_profile(t2f2).decomposition
+    detail = {c.name: c.detail for c in dec.conditions}["zero-localization-radical"]
+    assert detail == "radical = {[[0,0],[0,0]], [[0,1],[0,0]], [[1,0],[0,0]], [[1,1],[0,0]]}"

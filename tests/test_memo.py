@@ -1,0 +1,85 @@
+"""The memo shared by one analysis: what it keeps, and for how long."""
+
+import io
+import sys
+
+from orelab import construct, localization_profile, run_laws
+from orelab import localize, rings
+from orelab.cli import run
+
+
+def _patch_everywhere(monkeypatch, original, wrapper):
+    # the way the benchmark's tracer patches: every orelab namespace
+    wrapper.__wrapped__ = original
+    for name, mod in list(sys.modules.items()):
+        if name == "orelab" or name.startswith("orelab."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def _record_fraction_rings(monkeypatch) -> list:
+    original = localize.build_fraction_ring
+    built = []
+
+    def recording(ring, dens):
+        fr = original(ring, dens)
+        built.append((ring.structure_key, ring.names, fr.dens.mask))
+        return fr
+
+    _patch_everywhere(monkeypatch, original, recording)
+    return built
+
+
+def test_each_fraction_ring_is_built_once_per_profile(monkeypatch, catalog_rings):
+    built = _record_fraction_rings(monkeypatch)
+    for spec, ring in catalog_rings.items():
+        built.clear()
+        localization_profile(ring)
+        first = list(built)
+        assert len(set(first)) == len(first), f"{spec}: a fraction ring was built twice"
+        built.clear()
+        localization_profile(ring)
+        assert len(built) == len(first), f"{spec}: the memo outlived its analysis"
+
+
+def test_each_fraction_ring_is_built_once_per_law_run(monkeypatch):
+    built = _record_fraction_rings(monkeypatch)
+    for spec in ("zmod(6)", "upper_triangular(gf(2),2)", "zmod(12)"):
+        built.clear()
+        run_laws(construct(spec))
+        assert len(set(built)) == len(built), f"{spec}: a fraction ring was built twice"
+
+
+_SPY_CALLS = []
+
+
+def _spy(x):
+    _SPY_CALLS.append(x)
+    return [x]
+
+
+def test_once_keeps_values_only_inside_an_analysis():
+    _SPY_CALLS.clear()
+    assert rings.once(_spy, 1) == [1] and rings.once(_spy, 1) == [1]
+    assert _SPY_CALLS == [1, 1]
+    with rings.one_analysis():
+        first = rings.once(_spy, 2)
+        with rings.one_analysis():  # a nested analysis shares the memo
+            assert rings.once(_spy, 2) is first
+    assert _SPY_CALLS == [1, 1, 2]
+    rings.once(_spy, 2)
+    assert _SPY_CALLS == [1, 1, 2, 2]
+
+
+def test_info_walks_the_lattice_once(monkeypatch):
+    original = rings.two_sided_ideals
+    walks = []
+
+    def counting(ring, guards=rings.DEFAULT_GUARDS):
+        walks.append(ring.order)
+        return original(ring, guards)
+
+    _patch_everywhere(monkeypatch, original, counting)
+    assert run(["info", "zmod(12)"], stdout=io.StringIO()) == 0
+    assert walks == [12]
