@@ -358,7 +358,7 @@ def _build(spec: RingSpec, guards: Guards) -> FiniteRing:
     if kind == "opposite":
         return opposite(_build(spec.args[0], guards))
     if kind == "file":
-        return load_ring_file(spec.args[0])
+        return load_ring_file(spec.args[0], guards)
     raise BadSpec(f"unknown constructor {kind!r}")
 
 
@@ -397,9 +397,10 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"{what}: {tok!r} is not an integer")
 
 
-def load_ring_file(path: str) -> FiniteRing:
+def load_ring_file(path: str, guards: Guards = DEFAULT_GUARDS) -> FiniteRing:
     """Read a ring file; structural problems raise ParseError with the
-    offending line, mathematical ones surface as AxiomViolation."""
+    offending line, mathematical ones surface as AxiomViolation, and an
+    order above the guard raises SizeGuardExceeded before any table is read."""
     try:
         with open(path, encoding="ascii") as fh:
             raw = fh.read()
@@ -427,6 +428,8 @@ def load_ring_file(path: str) -> FiniteRing:
     order = keyword_value("order")
     if order < 2:
         raise ParseError(pos, "order must be at least 2")
+    if order > guards.order:
+        raise SizeGuardExceeded(f"ring file {path}", order, guards.order)
     one = keyword_value("one")
     zero = keyword_value("zero")
 

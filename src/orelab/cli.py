@@ -39,7 +39,7 @@ class _Usage(Exception):
 
 def _load_target(target: str, guards: Guards) -> FiniteRing:
     if os.path.exists(target):
-        return load_ring_file(target)
+        return load_ring_file(target, guards)
     return construct(target, guards)
 
 
@@ -308,18 +308,22 @@ def _run_batch(args, guards: Guards, stdout) -> int:
     print(text, file=stdout)
 
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        ext = "json" if args.format == "json" else "txt"
-        for i, e in enumerate(entries):
-            path = os.path.join(out_dir, f"{i:03d}_{_slug(e['target'])}.{ext}")
-            with open(path, "w", encoding="utf-8") as fh:
-                if args.format == "json":
-                    json.dump({"target": e["target"], "status": e["status"], **e["docs"]}, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                else:
-                    fh.write(e["report"] + "\n")
-        with open(os.path.join(out_dir, f"summary.{ext}"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            ext = "json" if args.format == "json" else "txt"
+            for i, e in enumerate(entries):
+                path = os.path.join(out_dir, f"{i:03d}_{_slug(e['target'])}.{ext}")
+                with open(path, "w", encoding="utf-8") as fh:
+                    if args.format == "json":
+                        json.dump({"target": e["target"], "status": e["status"], **e["docs"]}, fh, indent=2, sort_keys=True)
+                        fh.write("\n")
+                    else:
+                        fh.write(e["report"] + "\n")
+            with open(os.path.join(out_dir, f"summary.{ext}"), "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"cannot write report: {e}", file=stdout)
+            return 2
 
     statuses = {e["status"] for e in entries}
     if "math" in statuses:
@@ -468,7 +472,11 @@ def run(argv=None, stdout=None) -> int:
     rendered = json.dumps(doc, indent=2, sort_keys=True) if args.format == "json" else text
     print(rendered, file=stdout)
     if args.out:
-        _write_single_report(args.out, args.verb, args.target, rendered, args.format)
+        try:
+            _write_single_report(args.out, args.verb, args.target, rendered, args.format)
+        except OSError as e:
+            print(f"cannot write report: {e}", file=stdout)
+            return 2
     return exit_code
 
 

@@ -378,28 +378,33 @@ def is_division_ring(ring: FiniteRing) -> bool:
 # -- subgroups and ideals ------------------------------------------------
 
 
-def _additive_closure_mask(ring: FiniteRing, mask: int) -> int:
-    """Close a subset (as bitmask) under addition; 0 joins for free.
+def _mask_members(n: int, mask: int) -> np.ndarray:
+    """The boolean member vector of a bitmask on {0..n-1}."""
+    bits = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(bits, count=n, bitorder="little").view(bool)
 
-    A finite set closed under + automatically contains negatives, so this
-    is the additive subgroup generated by the input.
+
+def _members_mask(members: np.ndarray) -> int:
+    """The bitmask of a boolean member vector."""
+    return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
+
+
+def _additive_closure(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
+    """Close a boolean member vector under addition in place; 0 joins for free.
+
+    Doubling H <- H + H (which contains H, as 0 is in H) reaches every sum
+    of k generators after log2(k) rounds, and a finite set closed under +
+    contains negatives, so this is the additive subgroup generated.
     """
-    add = ring.add
-    members = [ring.zero]
-    seen = 1 << ring.zero
-    queue = list(_bit_indices(mask & ~seen))
-    while queue:
-        x = queue.pop()
-        if (seen >> x) & 1:
-            continue
-        seen |= 1 << x
-        members.append(x)
-        row = add[x]
-        for m in members:
-            s = row[m]
-            if not (seen >> s) & 1:
-                queue.append(s)
-    return seen
+    members[ring.zero] = True
+    size = int(members.sum())
+    while True:
+        idx = members.nonzero()[0]
+        members[ring.np_add[idx[:, None], idx]] = True
+        grown = int(members.sum())
+        if grown == size:
+            return members
+        size = grown
 
 
 def is_additive_subgroup(ring: FiniteRing, sub: CarrierSubset) -> bool:
@@ -438,52 +443,38 @@ def is_two_sided_ideal(ring: FiniteRing, sub: CarrierSubset) -> bool:
 
 def subgroup_sum(ring: FiniteRing, a: CarrierSubset, b: CarrierSubset) -> CarrierSubset:
     """Pointwise sum A + B of two additive subgroups (again a subgroup)."""
-    add = ring.add
-    out = 0
-    for x in a:
-        row = add[x]
-        for y in b:
-            out |= 1 << row[y]
-    return CarrierSubset(ring.order, out)
+    n = ring.order
+    members = np.zeros(n, dtype=bool)
+    ia = _mask_members(n, a.mask).nonzero()[0]
+    ib = _mask_members(n, b.mask).nonzero()[0]
+    members[ring.np_add[ia[:, None], ib]] = True
+    return CarrierSubset(n, _members_mask(members))
 
 
 def ideal_closure(ring: FiniteRing, generators: Iterable[int], side: str = "two") -> CarrierSubset:
     """Smallest ideal of the requested sidedness containing the generators.
 
-    side is one of "left", "right", "two".
+    side is one of "left", "right", "two".  As R has 1, the ideal is the
+    additive closure of R*G, G*R or R*G*R; the last is taken as (R*G)*R,
+    so no product table exceeds n*n entries.
     """
     if side not in ("left", "right", "two"):
         raise ValueError(f"unknown side {side!r}")
-    mul = ring.mul
-    add = ring.add
     n = ring.order
-    members = [ring.zero]
-    seen = 1 << ring.zero
-    queue = [int(g) for g in generators]
-    for g in queue:
+    gens = [int(g) for g in generators]
+    for g in gens:
         if not 0 <= g < n:
             raise ValueError(f"generator {g} outside carrier")
-    while queue:
-        x = queue.pop()
-        if (seen >> x) & 1:
-            continue
-        seen |= 1 << x
-        members.append(x)
-        row = add[x]
-        for m in members:
-            s = row[m]
-            if not (seen >> s) & 1:
-                queue.append(s)
-        for r in range(n):
-            if side in ("left", "two"):
-                p = mul[r][x]
-                if not (seen >> p) & 1:
-                    queue.append(p)
-            if side in ("right", "two"):
-                p = mul[x][r]
-                if not (seen >> p) & 1:
-                    queue.append(p)
-    return CarrierSubset(n, seen)
+    M = ring.np_mul
+    gens = np.asarray(gens, dtype=np.intp)
+    members = np.zeros(n, dtype=bool)
+    if side == "right":
+        members[M[gens]] = True
+    else:
+        members[M[:, gens]] = True
+        if side == "two":
+            members[M[members]] = True
+    return CarrierSubset(n, _members_mask(_additive_closure(ring, members)))
 
 
 def additive_subgroups(ring: FiniteRing, guard: int | None = None) -> list[CarrierSubset]:
@@ -509,7 +500,7 @@ def additive_subgroups(ring: FiniteRing, guard: int | None = None) -> list[Carri
                 key = h | (1 << x)
                 grown = closure_memo.get(key)
                 if grown is None:
-                    grown = _additive_closure_mask(ring, key)
+                    grown = _members_mask(_additive_closure(ring, _mask_members(n, key)))
                     closure_memo[key] = grown
                 if grown not in seen:
                     seen.add(grown)
@@ -571,26 +562,24 @@ def left_ideals(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[Carri
 # -- primes, semiprimeness, uniform dimension ----------------------------
 
 
-def _is_prime_ideal(ring: FiniteRing, p: CarrierSubset, mul3: np.ndarray) -> bool:
-    # p prime iff for all a, b outside p some a*r*b stays outside p
-    n = ring.order
-    outside = [x for x in range(n) if x not in p]
-    if not outside:
+def _is_prime_ideal(ring: FiniteRing, p: CarrierSubset) -> bool:
+    # p is prime iff no a, b outside p have a*R*b inside p.  For one a the
+    # products (a*r)*b are the rows M[a*R], so no table exceeds n*n entries.
+    in_p = _mask_members(ring.order, p.mask)
+    outside = (~in_p).nonzero()[0]
+    if not outside.size:
         return False  # the whole ring is not prime
-    in_p = np.zeros(n, dtype=bool)
-    for x in p:
-        in_p[x] = True
-    escapes = (~in_p[mul3]).any(axis=1)  # escapes[a, b]: some r with a*r*b not in p
-    sub = escapes[np.ix_(outside, outside)]
-    return bool(sub.all())
+    M = ring.np_mul
+    for a in outside:
+        if in_p[M[M[a]][:, outside]].all(axis=0).any():
+            return False
+    return True
 
 
 def minimal_primes(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[CarrierSubset]:
     """Inclusion-minimal prime ideals, via the a*R*b containment test."""
     ideals = once(two_sided_ideals, ring, guards)
-    M = ring.np_mul
-    mul3 = M[M]  # mul3[a, r, b] = (a*r)*b
-    primes = [p for p in ideals if len(p) < ring.order and _is_prime_ideal(ring, p, mul3)]
+    primes = [p for p in ideals if _is_prime_ideal(ring, p)]
     out = []
     for p in primes:
         if not any(q is not p and q.issubset(p) for q in primes):

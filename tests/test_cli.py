@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from orelab import DEFAULT_GUARDS, BadSpec, construct, parse_spec, save_ring_file
+from orelab import DEFAULT_GUARDS, BadSpec, Guards, construct, parse_spec, save_ring_file
 from orelab.cli import _batch_entry, run
 
 
@@ -166,6 +166,19 @@ def test_guard_exit_code():
     assert _run(["profile", "zmod(6)", "--guard-order", "4"])[0] == 3
 
 
+def test_ring_file_obeys_the_order_guard(tmp_path):
+    path = tmp_path / "z300.ring"
+    save_ring_file(construct("zmod(300)", Guards(order=300)), str(path))
+    code, out = _run(["info", str(path)])
+    assert code == 3 and out.startswith(f"size guard: ring file {path}: size 300")
+    assert _run(["check-axioms", f"file({path})"])[0] == 3
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"ring file({path})\nanalysis axioms\n")
+    code, out = _run(["batch", "--manifest", str(manifest), "--jobs", "1"])
+    assert code == 3 and "error (guard): ring file" in out
+    assert _run(["check-axioms", str(path), "--guard-order", "300"])[0] == 0
+
+
 def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("ORELAB_GUARD_ORDER", "4")
     assert _run(["profile", "zmod(6)"])[0] == 3
@@ -188,6 +201,22 @@ def test_out_dir(tmp_path):
     assert code == 0
     files = os.listdir(out_dir)
     assert len(files) == 1 and files[0].startswith("profile_")
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out = _run(["info", "zmod(4)", "--out", str(taken)])
+    assert code == 2 and out.splitlines()[-1].startswith("cannot write report:")
+
+
+def test_batch_unwritable_out_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("ring zmod(4)\n")
+    code, out = _run(["batch", "--manifest", str(manifest), "--jobs", "1", "--out", str(taken)])
+    assert code == 2 and out.splitlines()[-1].startswith("cannot write report:")
 
 
 def test_batch_roundtrip(tmp_path):
