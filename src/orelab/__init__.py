@@ -29,6 +29,7 @@ from .rings import (
     direct_product,
     from_tables,
     ideal_closure,
+    induced_map,
     is_division_ring,
     is_semiprime,
     left_ideals,
@@ -97,9 +98,9 @@ __all__ = [
     "NotDenominator", "NotOre", "OreLabError", "ParseError", "SizeGuardExceeded",
     "ZeroAbsorbed", "guards_from_env",
     "CarrierSubset", "FiniteRing", "ProductRing", "RingMap", "direct_product",
-    "from_tables", "ideal_closure", "is_division_ring", "is_semiprime", "left_ideals",
-    "minimal_primes", "opposite", "quotient", "regular_elements", "two_sided_ideals",
-    "uniform_dimension", "unit_pullback", "units",
+    "from_tables", "ideal_closure", "induced_map", "is_division_ring", "is_semiprime",
+    "left_ideals", "minimal_primes", "opposite", "quotient", "regular_elements",
+    "two_sided_ideals", "uniform_dimension", "unit_pullback", "units",
     "MulSet", "OreReport", "ass", "core", "denominator_sidedness", "is_left_denominator",
     "is_left_ore", "mul_closure", "ore_report", "r_ass", "saturate",
     "FractionRing", "LargestQuotient", "build_fraction_ring", "classical_left_quotient",

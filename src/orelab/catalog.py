@@ -20,7 +20,15 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import BadSpec, DEFAULT_GUARDS, Guards, ParseError, SizeGuardExceeded
-from .rings import FiniteRing, direct_product, ideal_closure, opposite, quotient
+from .rings import (
+    FiniteRing,
+    direct_product,
+    ideal_closure,
+    opposite,
+    quotient,
+    radix_decode,
+    radix_encode,
+)
 
 __all__ = [
     "RingSpec",
@@ -266,29 +274,17 @@ def _matrix_ring(base: FiniteRing, k: int, upper: bool, guards: Guards) -> Finit
     if order > guards.order:
         raise SizeGuardExceeded(f"matrix ring of order {base.order}^{m}", order, guards.order)
     pos_index = {pq: t for t, pq in enumerate(positions)}
-    b = base.order
+    radices = [base.order] * m
+    mats = [radix_decode(radices, i) for i in range(order)]
 
-    def decode(idx: int) -> list[int]:
-        out = [0] * m
-        for t in range(m - 1, -1, -1):
-            out[t] = idx % b
-            idx //= b
-        return out
-
-    def encode(entries: list[int]) -> int:
-        v = 0
-        for t in range(m):
-            v = v * b + entries[t]
-        return v
-
-    mats = [decode(i) for i in range(order)]
-
-    def at(entries: list[int], i: int, j: int) -> int:
+    def at(entries: tuple[int, ...], i: int, j: int) -> int:
         t = pos_index.get((i, j))
         return entries[t] if t is not None else base.zero
 
     badd, bmul = base.add, base.mul
-    add_t = [[encode([badd[x[t]][y[t]] for t in range(m)]) for y in mats] for x in mats]
+    add_t = [
+        [radix_encode(radices, [badd[x[t]][y[t]] for t in range(m)]) for y in mats] for x in mats
+    ]
     mul_t = []
     for x in mats:
         row = []
@@ -299,12 +295,12 @@ def _matrix_ring(base: FiniteRing, k: int, upper: bool, guards: Guards) -> Finit
                 for l in range(k):
                     acc = badd[acc][bmul[at(x, i, l)][at(y, l, j)]]
                 out.append(acc)
-            row.append(encode(out))
+            row.append(radix_encode(radices, out))
         mul_t.append(row)
-    zero = encode([base.zero] * m)
-    one = encode([base.one if i == j else base.zero for (i, j) in positions])
+    zero = radix_encode(radices, [base.zero] * m)
+    one = radix_encode(radices, [base.one if i == j else base.zero for (i, j) in positions])
 
-    def mat_name(entries: list[int]) -> str:
+    def mat_name(entries: tuple[int, ...]) -> str:
         rows = []
         for i in range(k):
             rows.append("[" + ",".join(base.name_of(at(entries, i, j)) for j in range(k)) + "]")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DEFAULT_GUARDS, Guards, SizeGuardExceeded, ZeroAbsorbed
+from .errors import DEFAULT_GUARDS, Guards, NotDenominator, SizeGuardExceeded, ZeroAbsorbed
 from .localize import build_fraction_ring, core_transfer_isomorphism, largest_left_quotient, quotient_model_isomorphism
 from .maxden import (
     brute_force_denominator_sets,
@@ -32,7 +32,7 @@ from .rings import (
     FiniteRing,
     RingMap,
     direct_product,
-    hom_is_R_isomorphism,
+    induced_map,
     is_division_ring,
     is_semiprime,
     minimal_primes,
@@ -151,7 +151,6 @@ def _zero_subset(ring: FiniteRing) -> CarrierSubset:
 
 
 def _check_largest_quotient_unit_structure(ctx: LawContext):
-    ring = ctx.ring
     lq = ctx.lq
     A = lq.ring
     sig = lq.fractions.sigma
@@ -161,8 +160,7 @@ def _check_largest_quotient_unit_structure(ctx: LawContext):
     a_units = units(A)
     if CarrierSubset(A.order, lq2.regular_set.mask) != a_units:
         problems.append("regular denominators of the quotient differ from its units")
-    pulled = {x for x in range(ring.order) if sig(x) in lq2.regular_set}
-    if pulled != set(lq.regular_set):
+    if sig.preimage(lq2.regular_set.elements) != lq.regular_set.elements:
         problems.append("pullback of the quotient's regular set is not the base regular set")
 
     inv = _unit_inverses(A)
@@ -238,22 +236,6 @@ def _check_maximal_localization_criterion(ctx: LawContext):
     return True, True, f"agreed on all {len(ctx.profile.saturated)} family members"
 
 
-def _lifted_mask(product, slot: int, factor_subset, other_full=True) -> int:
-    """Mask of product elements whose slot coordinate lies in the given
-    factor subset; other coordinates unconstrained (or zero)."""
-    mask = 0
-    for p in range(product.ring.order):
-        coords = product.decode(p)
-        if coords[slot] not in factor_subset:
-            continue
-        if not other_full and any(
-            coords[j] != product.factors[j].zero for j in range(len(product.factors)) if j != slot
-        ):
-            continue
-        mask |= 1 << p
-    return mask
-
-
 def _check_product_lifting(ctx: LawContext):
     prod = ctx.partner_product("gf(2)")
     p_ring = prod.ring
@@ -265,7 +247,7 @@ def _check_product_lifting(ctx: LawContext):
         for s_i in max_den(factor, ctx.guards):
             expected[(slot, s_i.mask)] = (ass(s_i), s_i)
     expected_masks = {
-        _lifted_mask(prod, slot, set(s)) for (slot, _), (_, s) in expected.items()
+        prod.projections[slot].preimage(s.elements).mask for (slot, _), (_, s) in expected.items()
     }
     if expected_masks != max_p:
         return False, True, "lifted maximal sets differ from the product's maximal sets"
@@ -273,31 +255,22 @@ def _check_product_lifting(ctx: LawContext):
         return False, True, "lifting is not injective"
 
     for (slot, _), (a_i, s_i) in expected.items():
-        factor = factors[slot]
-        lifted = CarrierSubset(p_ring.order, _lifted_mask(prod, slot, set(s_i)))
-        a_lifted = ass(p_ring, lifted)
-        want_ass = CarrierSubset(p_ring.order, _lifted_mask(prod, slot, set(a_i)))
-        if a_lifted != want_ass:
+        factor, proj, emb = factors[slot], prod.projections[slot], prod.embeddings[slot]
+        lifted = proj.preimage(s_i.elements)
+        if ass(p_ring, lifted) != proj.preimage(a_i):
             return False, True, f"lifted annihilator mismatch in slot {slot}"
 
         fr_p = once(build_fraction_ring, p_ring, lifted)
         fr_i = once(build_fraction_ring, factor, s_i.elements)
-        table = tuple(
-            fr_i.class_of(prod.decode(s)[slot], prod.decode(r)[slot]) for s, r in fr_p.reps
-        )
         try:
-            theta = RingMap(fr_p.ring, fr_i.ring, table)
+            theta = induced_map(fr_p.sigma, fr_i.sigma.compose(proj))
         except ValueError as e:
-            return False, True, f"slot {slot} localization comparison is not a homomorphism: {e}"
-        if not hom_is_R_isomorphism(theta, fr_p.sigma, fr_i.sigma.compose(prod.projections[slot])):
+            return False, True, f"slot {slot} localization comparison fails: {e}"
+        if not theta.is_bijective():
             return False, True, f"slot {slot} localizations are not R-isomorphic"
 
-        core_p = core(p_ring, lifted)
-        core_i = core(factor, s_i)
-        want_core = CarrierSubset(
-            p_ring.order, _lifted_mask(prod, slot, set(core_i), other_full=False)
-        )
-        if core_p != want_core:
+        want_core = CarrierSubset.from_indices(p_ring.order, (emb[x] for x in core(factor, s_i)))
+        if core(p_ring, lifted) != want_core:
             return False, True, f"lifted core mismatch in slot {slot}"
     return True, True, f"verified against a partner product of order {p_ring.order}"
 
@@ -317,16 +290,13 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
     n = len(factors)
     problems = []
 
-    lifted = []
-    for i, f in enumerate(factors):
-        lifted.append(CarrierSubset(p_ring.order, _lifted_mask(prod, i, set(units(f)))))
+    lifted = [proj.preimage(units(f)) for proj, f in zip(prod.projections, factors)]
     if {s.mask for s in lifted} != {s.mask for s in p_profile.maximal}:
         problems.append("maximal sets are not the lifted unit groups")
 
     full = CarrierSubset.full(p_ring.order)
-    for i, f in enumerate(factors):
-        want_ass = CarrierSubset(p_ring.order, _lifted_mask(prod, i, {f.zero}))
-        if ass(p_ring, lifted[i]) != want_ass:
+    for i in range(n):
+        if ass(p_ring, lifted[i]) != prod.projections[i].kernel():
             problems.append(f"annihilator of lifted set {i} is not the coordinate kernel")
         for j in range(i + 1, n):
             got = subgroup_sum(
@@ -335,26 +305,15 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
             if got != full:
                 problems.append(f"annihilators {i},{j} are not comaximal")
 
-    for i, f in enumerate(factors):
+    for i in range(n):
         fr = once(build_fraction_ring, p_ring, lifted[i])
-        theta = quotient_model_isomorphism(fr)
-        q_i, proj_i = once(quotient, p_ring, fr.sigma.kernel())
-        coord = [None] * q_i.order
-        for p in range(p_ring.order):
-            c = proj_i(p)
-            v = prod.decode(p)[i]
-            if coord[c] is None:
-                coord[c] = v
-            elif coord[c] != v:
-                problems.append(f"coordinate map for factor {i} ill-defined")
-                break
-        else:
-            try:
-                m = RingMap(q_i, f, tuple(coord))
-                if not m.is_bijective():
-                    problems.append(f"factor {i} quotient is not the factor itself")
-            except ValueError:
-                problems.append(f"factor {i} quotient map is not a homomorphism")
+        quotient_model_isomorphism(fr)
+        proj_i = once(quotient, p_ring, fr.sigma.kernel())[1]
+        try:
+            if not induced_map(proj_i, prod.projections[i]).is_bijective():
+                problems.append(f"factor {i} quotient is not the factor itself")
+        except ValueError as e:
+            problems.append(f"factor {i} quotient map fails: {e}")
 
     if p_profile.radical != _zero_subset(p_ring):
         problems.append("product has a nonzero localization radical")
@@ -372,28 +331,20 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
     if CarrierSubset(p_ring.order, inter) != p_profile.completely_localizable:
         problems.append("intersection of lifted sets differs from the profile")
 
-    some_unit = 0
-    for p in range(p_ring.order):
-        coords = prod.decode(p)
-        if any(coords[i] in units(factors[i]) for i in range(n)):
-            some_unit |= 1 << p
-    if CarrierSubset(p_ring.order, some_unit) != p_profile.localizable:
+    some_unit = CarrierSubset(p_ring.order, uni)
+    if some_unit != p_profile.localizable:
         problems.append("localizable elements are not the tuples with a unit coordinate")
-    if p_profile.non_localizable != CarrierSubset(p_ring.order, some_unit).complement():
+    if p_profile.non_localizable != some_unit.complement():
         problems.append("non-localizable elements are not the all-non-unit tuples")
 
     # transfer back to the target through the verified coordinate map
-    sig = dec.iso
     for mine, theirs in (
         (ctx.profile.localizable, p_profile.localizable),
         (ctx.profile.completely_localizable, p_profile.completely_localizable),
         (ctx.profile.non_localizable, p_profile.non_localizable),
         (ctx.profile.radical, p_profile.radical),
     ):
-        pulled = CarrierSubset.from_indices(
-            ctx.ring.order, (x for x in range(ctx.ring.order) if sig(x) in theirs)
-        )
-        if pulled != mine:
+        if dec.iso.preimage(theirs) != mine:
             problems.append("profile sets do not pull back along the splitting")
             break
 
@@ -479,25 +430,18 @@ def _check_maximal_localization_properties(ctx: LawContext):
         lqq = once(largest_left_quotient, q)
         theta = quotient_model_isomorphism(fr)
 
-        pulled = CarrierSubset.from_indices(
-            ring.order, (x for x in range(ring.order) if proj(x) in lqq.regular_set)
-        )
-        if pulled.mask != s.mask:
+        if proj.preimage(lqq.regular_set.elements).mask != s.mask:
             return False, True, "set is not the preimage of the quotient's regular elements"
         if {proj(x) for x in s} != set(units(q)):
             return False, True, "projected set is not the quotient's regular set"
 
         if not lqq.fractions.sigma.is_bijective():
             return False, True, "largest quotient of the factor moved"
-        lam = lqq.fractions.sigma
-        m_table = [None] * lqq.ring.order
-        for x in range(q.order):
-            m_table[lam(x)] = theta(x)
         try:
-            m = RingMap(lqq.ring, A, tuple(m_table))
+            m = induced_map(lqq.fractions.sigma, theta)
         except ValueError as e:
             return False, True, f"comparison with the quotient's largest quotient fails: {e}"
-        if not hom_is_R_isomorphism(m, lqq.fractions.sigma, theta):
+        if not m.is_bijective():
             return False, True, "localization is not the largest quotient of the factor"
 
         a_units = set(units(A))
@@ -600,7 +544,6 @@ def _check_isolated_component_denominators(ctx: LawContext):
         return True, False, "fewer than two maximal sets"
     ring = ctx.ring
     crosses = _cross_annihilator_sets(ctx)
-    component_frs = []
     for i, (a, s, fr) in enumerate(ctx.entries):
         ci = crosses[i]
         verdict = is_left_denominator(ring, ci)
@@ -610,16 +553,14 @@ def _check_isolated_component_denominators(ctx: LawContext):
             return False, True, f"component set {i} has the wrong annihilator"
         try:
             cfr = once(build_fraction_ring, ring, ci)
-        except Exception as e:  # noqa: BLE001 - any failure is a law failure here
+        except (ValueError, NotDenominator) as e:
             return False, True, f"component localization {i} failed: {e}"
-        table = tuple(fr.class_of(sv, rv) for sv, rv in cfr.reps)
         try:
-            theta = RingMap(cfr.ring, fr.ring, table)
+            theta = induced_map(cfr.sigma, fr.sigma)
         except ValueError as e:
-            return False, True, f"component {i} transfer is not a homomorphism: {e}"
-        if not hom_is_R_isomorphism(theta, cfr.sigma, fr.sigma):
+            return False, True, f"component {i} transfer fails: {e}"
+        if not theta.is_bijective():
             return False, True, f"component localization {i} is not R-isomorphic to the maximal one"
-        component_frs.append(cfr)
 
     summed = {ring.zero}
     for ci in crosses:
@@ -632,7 +573,7 @@ def _check_isolated_component_denominators(ctx: LawContext):
         return False, True, "summed component set has a nonzero annihilator"
     try:
         sfr = once(build_fraction_ring, ring, csum)
-    except Exception as e:  # noqa: BLE001
+    except (ValueError, NotDenominator) as e:
         return False, True, f"summed component localization failed: {e}"
     if not sfr.sigma.is_bijective():
         return False, True, "summed component localization does not cover the ring"
@@ -644,14 +585,11 @@ def _check_isolated_component_denominators(ctx: LawContext):
         sig_p = RingMap(ring, prod.ring, enc)
     except ValueError as e:
         return False, True, f"coordinate map is not a homomorphism: {e}"
-    m_table = [None] * sfr.ring.order
-    for r in range(ring.order):
-        m_table[sfr.sigma(r)] = sig_p(r)
     try:
-        m = RingMap(sfr.ring, prod.ring, tuple(m_table))
+        m = induced_map(sfr.sigma, sig_p)
     except ValueError as e:
-        return False, True, f"comparison with the product is not a homomorphism: {e}"
-    if not hom_is_R_isomorphism(m, sfr.sigma, sig_p):
+        return False, True, f"comparison with the product fails: {e}"
+    if not m.is_bijective():
         return False, True, "summed component localization is not the product of the maximal ones"
     return True, True, f"verified {len(crosses)} component sets and their sum"
 
@@ -730,7 +668,6 @@ def _check_regular_set_transport(ctx: LawContext):
     faithful = [sub for sub in ctx.denominator_sets if ass(ring, sub) == zero]
     if not faithful:
         return False, True, "no faithful denominator sets found (the unit group must be one)"
-    max_masks = {s.mask for _, s, _ in ctx.entries}
     for t_sub in faithful:
         for _, s, _ in ctx.entries:
             if t_sub.mask | s.mask != s.mask:
@@ -753,23 +690,16 @@ def _check_regular_set_transport(ctx: LawContext):
     if len(set(transported.values())) != len(transported):
         return False, True, "transport is not injective"
     for orig_mask, t_mask in transported.items():
-        pulled = 0
-        for r in range(ring.order):
-            if (t_mask >> tfr.sigma(r)) & 1:
-                pulled |= 1 << r
-        if pulled != orig_mask:
+        if tfr.sigma.preimage(CarrierSubset(A.order, t_mask)).mask != orig_mask:
             return False, True, "pulling a transported set back does not return the original"
     for a, s, fr in ctx.entries:
         t_set = CarrierSubset(A.order, transported[s.mask])
         afr = once(build_fraction_ring, A, t_set)
-        table = [None] * fr.ring.order
-        for sv, rv in fr.reps:
-            table[fr.class_of(sv, rv)] = afr.class_of(tfr.sigma(sv), tfr.sigma(rv))
         try:
-            m = RingMap(fr.ring, afr.ring, tuple(table))
+            m = induced_map(fr.sigma, afr.sigma.compose(tfr.sigma))
         except ValueError as e:
             return False, True, f"transported localization comparison fails: {e}"
-        if not hom_is_R_isomorphism(m, fr.sigma, afr.sigma.compose(tfr.sigma)):
+        if not m.is_bijective():
             return False, True, "localizing before or after transport differs"
     return True, True, f"identity correspondence through a faithful set of size {len(t_sub)}"
 
@@ -793,33 +723,20 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
 
     comp = dec.iso.compose(lq.fractions.sigma)
     prod = direct_product(*dec.factors, guards=ctx.guards)
-    pulled_masks = set()
-    pullbacks = {}
-    for i, f in enumerate(dec.factors):
-        lifted = _lifted_mask(prod, i, set(units(f)))
-        mask = 0
-        for r in range(ring.order):
-            if (lifted >> comp(r)) & 1:
-                mask |= 1 << r
-        pulled_masks.add(mask)
-        pullbacks[mask] = i
-    if pulled_masks != {s.mask for _, s, _ in ctx.entries}:
+    pullbacks = {
+        comp.preimage(proj.preimage(units(f))).mask: i
+        for i, (proj, f) in enumerate(zip(prod.projections, dec.factors))
+    }
+    if set(pullbacks) != {s.mask for _, s, _ in ctx.entries}:
         return False, True, "maximal sets are not the pullbacks of factor-unit tuples"
 
     for a, s, fr in ctx.entries:
         i = pullbacks[s.mask]
-        f = dec.factors[i]
-        table = [None] * fr.ring.order
-        for r in range(ring.order):
-            table[fr.sigma(r)] = prod.decode(comp(r))[i]
-        if any(v is None for v in table):
-            return False, True, f"canonical map to factor {i} is not surjective"
         try:
-            m = RingMap(fr.ring, f, tuple(table))
+            m = induced_map(fr.sigma, prod.projections[i].compose(comp))
         except ValueError as e:
             return False, True, f"comparison with simple factor {i} fails: {e}"
-        coord_map = tuple(prod.decode(comp(r))[i] for r in range(ring.order))
-        if not hom_is_R_isomorphism(m, fr.sigma, RingMap(ring, f, coord_map)):
+        if not m.is_bijective():
             return False, True, f"maximal localization is not the simple factor {i}"
     return True, True, f"{len(dec.factors)} simple factors match the maximal sets"
 

@@ -23,7 +23,7 @@ from .rings import (
     CarrierSubset,
     FiniteRing,
     RingMap,
-    hom_is_R_isomorphism,
+    induced_map,
     once,
     quotient,
     regular_elements,
@@ -192,27 +192,13 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
 def quotient_model_isomorphism(fr: FractionRing) -> RingMap:
     """The oracle: R/ass(S) -> S^-1 R, cosets through the canonical map.
 
-    Well-definedness, bijectivity and compatibility with the canonical
-    maps are all verified; any failure is an internal error because on
-    finite rings this comparison is forced by theory.
+    The map is induced by the projection, so it commutes with the
+    canonical maps from R; well-definedness, the homomorphism laws and
+    bijectivity are verified, and any failure is an internal error
+    because on finite rings this comparison is forced by theory.
     """
-    ring = fr.base
-    a = fr.sigma.kernel()
-    q, proj = once(quotient, ring, a)
-    table: list[int | None] = [None] * q.order
-    for x in range(ring.order):
-        c, v = proj(x), fr.sigma(x)
-        if table[c] is None:
-            table[c] = v
-        elif table[c] != v:
-            raise InternalInconsistency("quotient model map is ill-defined")
-    try:
-        theta = RingMap(q, fr.ring, tuple(table))  # type: ignore[arg-type]
-    except ValueError as e:
-        raise InternalInconsistency(f"quotient model map is not a homomorphism: {e}") from e
-    if not hom_is_R_isomorphism(theta, proj, fr.sigma):
-        raise InternalInconsistency("quotient model map is not an R-isomorphism")
-    return theta
+    proj = once(quotient, fr.base, fr.sigma.kernel())[1]
+    return _r_isomorphism(proj, fr.sigma, "quotient model map")
 
 
 def core_transfer_isomorphism(fr: FractionRing) -> tuple[FractionRing, RingMap]:
@@ -222,14 +208,18 @@ def core_transfer_isomorphism(fr: FractionRing) -> tuple[FractionRing, RingMap]:
     if not c:
         raise InternalInconsistency("a left Ore set on a finite ring has an empty core")
     cfr = once(build_fraction_ring, ring, c)
-    table = tuple(fr.class_of(s, r) for s, r in cfr.reps)
+    return cfr, _r_isomorphism(cfr.sigma, fr.sigma, "core transfer map")
+
+
+def _r_isomorphism(f: RingMap, g: RingMap, what: str) -> RingMap:
+    """induced_map(f, g), which theory forces to be an R-isomorphism."""
     try:
-        theta = RingMap(cfr.ring, fr.ring, table)
+        theta = induced_map(f, g)
     except ValueError as e:
-        raise InternalInconsistency(f"core transfer map is not a homomorphism: {e}") from e
-    if not hom_is_R_isomorphism(theta, cfr.sigma, fr.sigma):
-        raise InternalInconsistency("core transfer map is not an R-isomorphism")
-    return cfr, theta
+        raise InternalInconsistency(f"{what} is not an R-isomorphism: {e}") from e
+    if not theta.is_bijective():
+        raise InternalInconsistency(f"{what} is not an R-isomorphism")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -238,7 +228,6 @@ class LargestQuotient:
 
     regular_set: MulSet
     fractions: FractionRing
-    coincides_with_classical: bool
 
     @property
     def ring(self) -> FiniteRing:
@@ -264,14 +253,13 @@ def largest_left_quotient(ring: FiniteRing) -> LargestQuotient:
     if not den.holds:
         raise InternalInconsistency(f"the unit group failed the denominator test at {den.witness}")
     fr = once(build_fraction_ring, ring, u)
-    return LargestQuotient(s0, fr, True)
+    return LargestQuotient(s0, fr)
 
 
 def classical_left_quotient(ring: FiniteRing) -> LargestQuotient:
     """The classical quotient at the regular elements.
 
     On finite rings the regular elements are the units, so this collapses
-    to ``largest_left_quotient``; the flag on the result records that the
-    collapse was verified, not assumed.
+    to ``largest_left_quotient``, which asserts that identity.
     """
     return largest_left_quotient(ring)

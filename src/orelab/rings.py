@@ -46,7 +46,10 @@ __all__ = [
     "is_two_sided_ideal",
     "subgroup_sum",
     "quotient",
+    "induced_map",
     "unit_pullback",
+    "radix_encode",
+    "radix_decode",
     "direct_product",
     "opposite",
     "additive_subgroups",
@@ -55,7 +58,6 @@ __all__ = [
     "minimal_primes",
     "is_semiprime",
     "uniform_dimension",
-    "hom_is_R_isomorphism",
 ]
 
 
@@ -683,6 +685,12 @@ class RingMap:
     def is_bijective(self) -> bool:
         return self.source.order == self.target.order and self.is_injective()
 
+    def preimage(self, sub: CarrierSubset) -> CarrierSubset:
+        """{x : f(x) in sub}."""
+        return CarrierSubset.from_indices(
+            self.source.order, (x for x, v in enumerate(self.table) if v in sub)
+        )
+
     @classmethod
     def identity(cls, ring: FiniteRing) -> "RingMap":
         return cls(ring, ring, tuple(range(ring.order)))
@@ -694,10 +702,30 @@ class RingMap:
         return RingMap(inner.source, self.target, tuple(self.table[v] for v in inner.table))
 
 
+def induced_map(f: RingMap, g: RingMap) -> RingMap:
+    """The map h: f.target -> g.target with h(f(x)) == g(x) for every x.
+
+    h commutes with f and g by construction.  Raises ValueError when f
+    and g start from different rings, when f is not onto, when h would be
+    ill-defined on a fibre of f, or (through RingMap) when h is not a
+    unital homomorphism.
+    """
+    if f.source is not g.source and f.source != g.source:
+        raise ValueError("induced map needs two maps from the same ring")
+    table: list[int | None] = [None] * f.target.order
+    for x, (v, w) in enumerate(zip(f.table, g.table)):
+        if table[v] is None:
+            table[v] = w
+        elif table[v] != w:
+            raise ValueError(f"induced map is ill-defined on the fibre of {v} (at {x})")
+    if None in table:
+        raise ValueError(f"{table.index(None)} is not in the image of the first map")
+    return RingMap(f.target, g.target, tuple(table))  # type: ignore[arg-type]
+
+
 def unit_pullback(f: RingMap) -> CarrierSubset:
     """{x : f(x) is a unit of f.target}."""
-    u = once(units, f.target)
-    return CarrierSubset.from_indices(f.source.order, (x for x, v in enumerate(f.table) if v in u))
+    return f.preimage(once(units, f.target))
 
 
 def quotient(ring: FiniteRing, ideal: CarrierSubset) -> tuple[FiniteRing, RingMap]:
@@ -744,17 +772,27 @@ class ProductRing:
     embeddings: tuple[tuple[int, ...], ...]
 
     def encode(self, parts: Sequence[int]) -> int:
-        out = 0
-        for ring_i, x in zip(self.factors, parts):
-            out = out * ring_i.order + x
-        return out
+        return radix_encode([f.order for f in self.factors], parts)
 
     def decode(self, x: int) -> tuple[int, ...]:
-        parts = []
-        for ring_i in reversed(self.factors):
-            parts.append(x % ring_i.order)
-            x //= ring_i.order
-        return tuple(reversed(parts))
+        return radix_decode([f.order for f in self.factors], x)
+
+
+def radix_encode(radices: Sequence[int], digits: Sequence[int]) -> int:
+    """Mixed-radix number with the first digit most significant."""
+    out = 0
+    for r, d in zip(radices, digits):
+        out = out * r + d
+    return out
+
+
+def radix_decode(radices: Sequence[int], x: int) -> tuple[int, ...]:
+    """The digits of x in the mixed radix; inverse of radix_encode."""
+    digits = []
+    for r in reversed(radices):
+        x, d = divmod(x, r)
+        digits.append(d)
+    return tuple(reversed(digits))
 
 
 def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> ProductRing:
@@ -768,31 +806,17 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
         raise SizeGuardExceeded("direct product", n, guards.order)
 
     radices = [f.order for f in factors]
-
-    def decode(x: int) -> tuple[int, ...]:
-        parts = []
-        for r in reversed(radices):
-            parts.append(x % r)
-            x //= r
-        return tuple(reversed(parts))
-
-    def encode(parts: Sequence[int]) -> int:
-        out = 0
-        for r, x in zip(radices, parts):
-            out = out * r + x
-        return out
-
-    decoded = [decode(x) for x in range(n)]
+    decoded = [radix_decode(radices, x) for x in range(n)]
     add_t = [
-        [encode([f.add[a[i]][b[i]] for i, f in enumerate(factors)]) for b in decoded]
+        [radix_encode(radices, [f.add[a[i]][b[i]] for i, f in enumerate(factors)]) for b in decoded]
         for a in decoded
     ]
     mul_t = [
-        [encode([f.mul[a[i]][b[i]] for i, f in enumerate(factors)]) for b in decoded]
+        [radix_encode(radices, [f.mul[a[i]][b[i]] for i, f in enumerate(factors)]) for b in decoded]
         for a in decoded
     ]
-    zero = encode([f.zero for f in factors])
-    one = encode([f.one for f in factors])
+    zero = radix_encode(radices, [f.zero for f in factors])
+    one = radix_encode(radices, [f.one for f in factors])
     names = None
     if all(f.names is not None for f in factors):
         names = [
@@ -811,7 +835,7 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
         for x in range(f.order):
             parts = list(zeros)
             parts[i] = x
-            table.append(encode(parts))
+            table.append(radix_encode(radices, parts))
         embeddings.append(tuple(table))
     return ProductRing(ring, tuple(factors), projections, tuple(embeddings))
 
@@ -820,27 +844,3 @@ def opposite(ring: FiniteRing) -> FiniteRing:
     """Same carrier and addition, multiplication reversed; an involution."""
     mul_t = tuple(tuple(ring.mul[y][x] for y in range(ring.order)) for x in range(ring.order))
     return FiniteRing(ring.order, ring.add, mul_t, ring.zero, ring.one, ring.names)
-
-
-def hom_is_R_isomorphism(
-    phi: RingMap,
-    source_canonical: RingMap | None = None,
-    target_canonical: RingMap | None = None,
-) -> bool:
-    """Bijective, and compatible with canonical maps from a common base.
-
-    When both canonical maps are given (base -> source, base -> target),
-    the check requires phi(source_canonical(r)) == target_canonical(r)
-    for every base element r.
-    """
-    if not phi.is_bijective():
-        return False
-    if source_canonical is not None or target_canonical is not None:
-        if source_canonical is None or target_canonical is None:
-            raise ValueError("need both canonical maps or neither")
-        if source_canonical.source.order != target_canonical.source.order:
-            raise ValueError("canonical maps must share a base ring")
-        for r in range(source_canonical.source.order):
-            if phi(source_canonical(r)) != target_canonical(r):
-                return False
-    return True

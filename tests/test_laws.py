@@ -2,7 +2,9 @@
 
 import pytest
 
-from orelab import Guards, LAW_REGISTRY, construct, law_ids, run_laws
+import orelab.localize
+from orelab import Guards, InternalInconsistency, LAW_REGISTRY, construct, law_ids, run_laws
+from orelab.laws import LawContext
 
 ALL_IDS = (
     "4Jul10", "1a27Nov12", "b27Nov12", "21Nov10", "c26Dec12", "25Nov12",
@@ -77,3 +79,17 @@ def test_matrix_ring_laws(m2f2):
     # simple artinian: semiprime law applies, localizability laws mostly idle
     assert by_id["a4Dec12"].applicable
     assert not by_id["C2Dec12"].applicable
+
+
+def test_component_law_does_not_hide_internal_errors(monkeypatch):
+    # an InternalInconsistency is a bug, never a law failure
+    ctx = LawContext(construct("zmod(6)"))
+    assert ctx.profile.verdict.localizable
+
+    def broken_build(ring, dens):
+        raise InternalInconsistency("injected")
+
+    monkeypatch.setattr(orelab.localize, "build_fraction_ring", broken_build)
+    _, check = LAW_REGISTRY["A3Dec12"]
+    with pytest.raises(InternalInconsistency, match="injected"):
+        check(ctx)

@@ -15,6 +15,7 @@ from orelab import (
     direct_product,
     from_tables,
     ideal_closure,
+    induced_map,
     is_division_ring,
     is_semiprime,
     left_ideals,
@@ -153,6 +154,33 @@ def test_direct_product_crt(z6):
     # encode/decode round trip, leftmost factor most significant
     assert prod.decode(prod.encode([1, 2])) == (1, 2)
     assert prod.projections[0](prod.encode([1, 2])) == 1
+
+
+def test_induced_map_between_quotients(z12):
+    _, to4 = quotient(z12, ideal_closure(z12, [4]))
+    _, to2 = quotient(z12, ideal_closure(z12, [2]))
+    h = induced_map(to4, to2)  # Z/4 -> Z/2
+    assert (h.source.order, h.target.order) == (4, 2)
+    assert h.is_surjective() and not h.is_bijective()
+    assert h.compose(to4).table == to2.table
+    with pytest.raises(ValueError, match="ill-defined"):
+        induced_map(to2, to4)  # 0 and 2 in Z/12 agree mod 2, not mod 4
+
+
+def test_induced_map_refuses_a_map_that_is_not_onto():
+    f2 = construct("gf(2)")
+    prod = direct_product(f2, f2)
+    diagonal = RingMap(f2, prod.ring, tuple(prod.encode([x, x]) for x in range(2)))
+    with pytest.raises(ValueError, match="not in the image"):
+        induced_map(diagonal, RingMap.identity(f2))
+
+
+def test_preimage_matches_its_definition(z12):
+    _, to4 = quotient(z12, ideal_closure(z12, [4]))
+    for mask in range(1 << 4):
+        sub = CarrierSubset(4, mask)
+        want = {x for x in range(12) if to4(x) in sub}
+        assert set(to4.preimage(sub)) == want
 
 
 def test_opposite_ring(t2f2, z6):
