@@ -2,9 +2,13 @@
 
 The construction is the textbook one: pairs (s, r) standing for s^-1 r,
 identified when c*s = d*t lands in the denominator set with c*r = d*q.
-That relation is generated by (s, r) ~ (c*s, c*r) for c*s in S, so one
-union-find over the pairs finds its classes.  The tables are then
-certified by the characterization of S^-1 R: a ring A with a unital map
+One union-find over the pairs finds the classes from two kinds of edges
+of that relation.  Within a row, (s, r) ~ (s, r + g) for g in a
+generating set of ass(S): some t in S has t*g = 0, so both pairs meet at
+(t*s, t*r).  Across rows, one left Ore witness s1*s0 = r1*s per s ties
+row s and the least row s0 to row r1*s, each by an edge
+(s, r) ~ (c*s, c*r) with c*s in S.  The tables are then certified by the
+characterization of S^-1 R: a ring A with a unital map
 sigma: R -> A is the left localization at S exactly when sigma(S) lies
 in the units of A, ker sigma = ass(S), and every element of A is
 sigma(s)^-1 sigma(r).  Every pair is checked against the last condition,
@@ -18,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency, NotDenominator
-from .oresets import MulSet, _check_semigroup, _subset_of, ass, core, is_left_denominator
+from .oresets import MulSet, ass, check_semigroup, core, is_left_denominator, subset_of
 from .rings import (
     CarrierSubset,
     FiniteRing,
     RingMap,
+    additive_generators,
     induced_map,
     once,
     quotient,
@@ -85,16 +90,28 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     without one is accepted as long as it is zero-free and closed, which
     is what cores of denominator sets look like.
 
-    The pairs are classed by one union-find over the |S|*n pairs that
-    joins (s, r) with (c*s, c*r) whenever c*s lies in S; classes are
-    numbered by their least pair.  The result is then certified by the
-    characterization of S^-1 R, which pins it down at every order: the
-    tables form a ring, sigma is a unital homomorphism sending S into the
-    units with kernel ass(S), there are exactly n/|ass(S)| classes, and
-    sigma(s) * [s, r] == sigma(r) for every pair (s, r).
+    The pairs are classed by one union-find over the |S|*n pairs with
+    O(|S|*n*log n) joins, each a true edge of the Ore relation:
+
+    - within a row, (s, r) ~ (s, r + g) for g in a greedy generating set
+      of ass(S), at most log2|ass(S)| elements.  Some t in S has t*g = 0,
+      so (s, r) ~ (t*s, t*r) = (t*s, t*(r + g)) ~ (s, r + g).  These joins
+      make s^-1 r = s^-1 r' exactly when r - r' lies in ass(S).
+    - across rows, with s0 the least denominator and one left Ore witness
+      s1*s0 = r1*s (s1 in S), row s joins row r1*s by r |-> r1*r and row
+      s0 joins the same row by r |-> s1*r: both are (s, r) ~ (c*s, c*r)
+      with c*s in S.  sigma(r1) and sigma(s1) are units, so each map
+      meets every class of the target row, and every row meets row s0.
+
+    Classes are numbered by their least pair.  The result is then
+    certified by the characterization of S^-1 R, which pins it down at
+    every order: the tables form a ring, sigma is a unital homomorphism
+    sending S into the units with kernel ass(S), there are exactly
+    n/|ass(S)| classes, and sigma(s) * [s, r] == sigma(r) for every pair
+    (s, r); a missing join fails the class count.
     """
-    elems = _subset_of(ring, dens)
-    _check_semigroup(ring, elems)
+    elems = subset_of(ring, dens)
+    check_semigroup(ring, elems)
     den = is_left_denominator(ring, elems)
     if not den.holds:
         raise NotDenominator(den.witness)
@@ -103,46 +120,13 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     mul, add = ring.mul, ring.add
     s_list = sorted(elems.indices())
     pairs = [(s, r) for s in s_list for r in range(n)]  # pair (s_list[i], r) sits at i*n + r
-
-    # union-find joining (s, r) with (c*s, c*r) whenever c*s lies in S; a
-    # merge hangs the larger root under the smaller, so every root is the
-    # least pair of its class
-    index = {s: i * n for i, s in enumerate(s_list)}
-    parent = list(range(len(pairs)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for s in s_list:
-        at_s = index[s]
-        for row in mul:  # row[x] == c*x for one c
-            base = index.get(row[s])
-            if base is not None:
-                for r in range(n):
-                    x, y = find(at_s + r), find(base + row[r])
-                    if x != y:
-                        parent[max(x, y)] = min(x, y)
-    roots = sorted({find(p) for p in range(len(pairs))})
-    number = {root: i for i, root in enumerate(roots)}
-    reps = [pairs[root] for root in roots]
-    pair_class = {p: number[find(i)] for i, p in enumerate(pairs)}
-    k = len(reps)
-
     a = ass(ring, elems)
-    if k * len(a) != n:
-        raise InternalInconsistency(
-            f"{k} pair classes, but R/ass(S) has {n // len(a)} elements"
-        )
 
     # by_value[s][v] = all r' with r'*s == v, for witness searches
-    by_value: dict[int, dict[int, list[int]]] = {}
+    by_value: dict[int, dict[int, list[int]]] = {s: {} for s in s_list}
     for s in s_list:
-        m: dict[int, list[int]] = {}
         for rp in range(n):
-            m.setdefault(mul[rp][s], []).append(rp)
-        by_value[s] = m
+            by_value[s].setdefault(mul[rp][s], []).append(rp)
 
     def first_witness(anchor: int, through: int):
         # smallest (w, r') in S x R with w*through == r'*anchor
@@ -152,6 +136,43 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
             if cands:
                 return w, cands[0]
         raise InternalInconsistency("left Ore witness vanished during table build")
+
+    # union-find over the pairs; a merge hangs the larger root under the
+    # smaller, so every root is the least pair of its class
+    index = {s: i * n for i, s in enumerate(s_list)}
+    parent = list(range(len(pairs)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def join(at: int, to: int, image) -> None:
+        # (row at, r) ~ (row to, image[r]) for every r
+        for r, v in enumerate(image):
+            x, y = find(at + r), find(to + v)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+
+    s0 = s_list[0]
+    gens = additive_generators(ring, a)
+    for s in s_list:
+        for g in gens:
+            join(index[s], index[s], add[g])  # (s, r) ~ (s, r + g)
+        s1, r1 = first_witness(s, s0)  # s1*s0 == r1*s lies in S
+        t = index[mul[s1][s0]]
+        join(index[s], t, mul[r1])
+        join(index[s0], t, mul[s1])
+    roots = sorted({find(p) for p in range(len(pairs))})
+    number = {root: i for i, root in enumerate(roots)}
+    reps = [pairs[root] for root in roots]
+    pair_class = {p: number[find(i)] for i, p in enumerate(pairs)}
+    k = len(reps)
+
+    if k * len(a) != n:
+        raise InternalInconsistency(
+            f"{k} pair classes, but R/ass(S) has {n // len(a)} elements"
+        )
 
     add_table = [[0] * k for _ in range(k)]
     mul_table = [[0] * k for _ in range(k)]
@@ -164,7 +185,6 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
             t1, r2 = first_witness(t, r)
             mul_table[i][j] = pair_class[(mul[t1][s], mul[r2][q])]
 
-    s0 = s_list[0]
     sigma_table = tuple(pair_class[(s0, mul[s0][x])] for x in range(n))
     names = tuple(f"{s}\\{r}" for s, r in reps)
     fr_ring = FiniteRing(

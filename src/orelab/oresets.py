@@ -93,7 +93,7 @@ class MulSet:
         return f"MulSet({self.elements})"
 
 
-def _subset_of(ring: FiniteRing, setlike) -> CarrierSubset:
+def subset_of(ring: FiniteRing, setlike) -> CarrierSubset:
     """Normalize MulSet / CarrierSubset / iterable to a CarrierSubset."""
     if isinstance(setlike, MulSet):
         if setlike.ring != ring:
@@ -106,7 +106,14 @@ def _subset_of(ring: FiniteRing, setlike) -> CarrierSubset:
     return CarrierSubset.from_indices(ring.order, setlike)
 
 
-def _check_semigroup(ring: FiniteRing, elems: CarrierSubset) -> None:
+def _ring_and_subset(ring_or_mulset, setlike) -> tuple[FiniteRing, CarrierSubset]:
+    """(ring, elements) of a MulSet alone, or of a ring and a set-like."""
+    if setlike is None:
+        return ring_or_mulset.ring, ring_or_mulset.elements
+    return ring_or_mulset, subset_of(ring_or_mulset, setlike)
+
+
+def check_semigroup(ring: FiniteRing, elems: CarrierSubset) -> None:
     """Zero-free, nonempty, multiplicatively closed; raises otherwise."""
     if not elems:
         raise ValueError("empty set cannot be a denominator semigroup")
@@ -161,12 +168,7 @@ def mul_closure(ring: FiniteRing, generators: Iterable[int]) -> MulSet:
 
 def ass(ring_or_mulset, setlike=None) -> CarrierSubset:
     """ass(S) = {r : s*r = 0 for some s in S}, the union of left kernels."""
-    if setlike is None:
-        mulset = ring_or_mulset
-        ring, elems = mulset.ring, mulset.elements
-    else:
-        ring = ring_or_mulset
-        elems = _subset_of(ring, setlike)
+    ring, elems = _ring_and_subset(ring_or_mulset, setlike)
     mask = 0
     for s in elems:
         mask |= ring.left_kernel_mask(s)
@@ -175,7 +177,7 @@ def ass(ring_or_mulset, setlike=None) -> CarrierSubset:
 
 def r_ass(ring: FiniteRing, setlike) -> CarrierSubset:
     """r.ass(X) = {r : r*x = 0 for some x in X}."""
-    elems = _subset_of(ring, setlike)
+    elems = subset_of(ring, setlike)
     if not elems:
         raise ValueError("r_ass needs a nonempty set")
     mask = 0
@@ -190,11 +192,7 @@ def is_left_ore(ring_or_mulset, setlike=None) -> Verdict:
     On failure the witness is the violating pair (r, s), first in
     lexicographic order.
     """
-    if setlike is None:
-        ring, elems = ring_or_mulset.ring, ring_or_mulset.elements
-    else:
-        ring = ring_or_mulset
-        elems = _subset_of(ring, setlike)
+    ring, elems = _ring_and_subset(ring_or_mulset, setlike)
     mul = ring.mul
     n = ring.order
     s_list = elems.indices()
@@ -217,11 +215,7 @@ def is_left_ore(ring_or_mulset, setlike=None) -> Verdict:
 
 def is_left_denominator(ring_or_mulset, setlike=None) -> Verdict:
     """Left Ore plus left reversibility (r*s = 0 forces t*r = 0, t in S)."""
-    if setlike is None:
-        ring, elems = ring_or_mulset.ring, ring_or_mulset.elements
-    else:
-        ring = ring_or_mulset
-        elems = _subset_of(ring, setlike)
+    ring, elems = _ring_and_subset(ring_or_mulset, setlike)
     ore = is_left_ore(ring, elems)
     if not ore.holds:
         return ore
@@ -239,11 +233,7 @@ def is_left_denominator(ring_or_mulset, setlike=None) -> Verdict:
 
 def core(ring_or_mulset, setlike=None) -> CarrierSubset:
     """Elements of S whose left kernel is all of ass(S); needs left Ore."""
-    if setlike is None:
-        ring, elems = ring_or_mulset.ring, ring_or_mulset.elements
-    else:
-        ring = ring_or_mulset
-        elems = _subset_of(ring, setlike)
+    ring, elems = _ring_and_subset(ring_or_mulset, setlike)
     ore = is_left_ore(ring, elems)
     if not ore.holds:
         raise NotOre(ore.witness)
@@ -261,11 +251,7 @@ def max_kernel_elements(ring_or_mulset, setlike=None) -> CarrierSubset:
     For a left Ore set this must coincide with the core; that identity is
     asserted here rather than assumed.
     """
-    if setlike is None:
-        ring, elems = ring_or_mulset.ring, ring_or_mulset.elements
-    else:
-        ring = ring_or_mulset
-        elems = _subset_of(ring, setlike)
+    ring, elems = _ring_and_subset(ring_or_mulset, setlike)
     kernels = {s: ring.left_kernel_mask(s) for s in elems}
     values = set(kernels.values())
 

@@ -409,6 +409,19 @@ def _additive_closure(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
         size = grown
 
 
+def additive_generators(ring: FiniteRing, sub: CarrierSubset) -> list[int]:
+    """At most log2|sub| elements generating the additive subgroup sub,
+    picked greedily: each lies outside the span so far and at least doubles it."""
+    span = _mask_members(ring.order, 1 << ring.zero)
+    gens = []
+    for g in sub:
+        if not span[g]:
+            gens.append(g)
+            span[g] = True
+            _additive_closure(ring, span)
+    return gens
+
+
 def is_additive_subgroup(ring: FiniteRing, sub: CarrierSubset) -> bool:
     if ring.zero not in sub:
         return False
@@ -522,22 +535,22 @@ def _ideal_lattice(ring: FiniteRing, side: str) -> list[CarrierSubset]:
     additive subgroup lattice.
     """
     n = ring.order
-    principal: dict[int, CarrierSubset] = {}
-    for x in range(n):
-        p = ideal_closure(ring, [x], side)
-        principal.setdefault(p.mask, p)
-    gens = list(principal.values())
+    principal = dict.fromkeys(ideal_closure(ring, [x], side).mask for x in range(n))
+    # each ideal becomes a member index array once; a sum is one np_add gather
+    gens = [(m, _mask_members(n, m).nonzero()[0]) for m in principal]
     root = 1 << ring.zero
     seen = {root}
     frontier = [root]
     while frontier:
         nxt = []
         for h in frontier:
-            cur = CarrierSubset(n, h)
-            for p in gens:
-                if p.mask | h == h:
+            cur = _mask_members(n, h).nonzero()[0][:, None]
+            for m, p in gens:
+                if m | h == h:
                     continue
-                grown = subgroup_sum(ring, cur, p).mask
+                members = np.zeros(n, dtype=bool)
+                members[ring.np_add[cur, p]] = True
+                grown = _members_mask(members)
                 if grown not in seen:
                     seen.add(grown)
                     nxt.append(grown)
@@ -654,12 +667,13 @@ class RingMap:
             raise ValueError("map value outside target carrier")
         if f[src.one] != tgt.one:
             raise ValueError("map does not send one to one")
-        for x in range(src.order):
-            for y in range(src.order):
-                if f[src.add[x][y]] != tgt.add[f[x]][f[y]]:
-                    raise ValueError(f"map not additive at ({x}, {y})")
-                if f[src.mul[x][y]] != tgt.mul[f[x]][f[y]]:
-                    raise ValueError(f"map not multiplicative at ({x}, {y})")
+        F = np.asarray(f, dtype=np.intp)
+        bad_add = F[src.np_add] != tgt.np_add[F[:, None], F]
+        bad = bad_add | (F[src.np_mul] != tgt.np_mul[F[:, None], F])
+        if bad.any():
+            x, y = divmod(int(bad.argmax()), src.order)  # first in row-major order
+            kind = "additive" if bad_add[x, y] else "multiplicative"
+            raise ValueError(f"map not {kind} at ({x}, {y})")
 
     def __call__(self, x: int) -> int:
         return self.table[x]

@@ -7,6 +7,7 @@ from orelab import (
     MulSet,
     NotDenominator,
     NotOre,
+    ass,
     brute_force_denominator_sets,
     build_fraction_ring,
     canonical_hash,
@@ -20,6 +21,7 @@ from orelab import (
     saturated_denominator_sets,
     units,
 )
+from orelab.rings import additive_generators
 
 
 def test_z6_fraction_ring_at_1_3(z6):
@@ -152,3 +154,39 @@ def test_pair_classes_match_the_ore_relation(catalog_rings):
         _assert_classes_match_definition(ring, units(ring))
         for mset in saturated_denominator_sets(ring).values():
             _assert_classes_match_definition(ring, mset.elements)
+
+
+def _assert_classes_match_quotient(ring, dens):
+    """(s, r) and (t, q) share a class exactly when pi(s)^-1 pi(r) equals
+    pi(t)^-1 pi(q) in R/ass(S), read off quotient and units alone."""
+    q, proj = quotient(ring, ass(ring, dens))
+    q_units = units(q)
+    inverse = {u: next(v for v in q_units if q.mul[u][v] == q.one) for u in q_units}
+    fr = build_fraction_ring(ring, dens)
+    value_of_class = {}
+    class_of_value = {}
+    for s in dens:
+        assert proj(s) in q_units
+        for r in range(ring.order):
+            cls = fr.pair_class[(s, r)]
+            value = q.mul[inverse[proj(s)]][proj(r)]
+            assert value_of_class.setdefault(cls, value) == value, (s, r)
+            assert class_of_value.setdefault(value, cls) == cls, (s, r)
+    assert len(fr.pair_class) == len(dens) * ring.order
+
+
+def test_pair_classes_match_the_quotient_at_larger_orders():
+    several_generators = 0
+    for spec in (
+        "zmod(64)",
+        "product(zmod(8),zmod(9))",
+        "upper_triangular(gf(4),2)",
+        "matrix(gf(3),2)",
+        "product(gf(4),gf(8),gf(5))",
+    ):
+        ring = construct(spec)
+        sets = [units(ring)] + [m.elements for m in saturated_denominator_sets(ring).values()]
+        for dens in sets:
+            _assert_classes_match_quotient(ring, dens)
+            several_generators += len(additive_generators(ring, ass(ring, dens))) > 1
+    assert several_generators > 0

@@ -1,5 +1,8 @@
 """Core table arithmetic: axioms, subsets, ideals, quotients, products."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,60 @@ def test_opposite_ring(t2f2, z6):
 def test_ring_map_rejects_non_homomorphism(z6):
     with pytest.raises(ValueError):
         RingMap(z6, z6, (0, 1, 3, 2, 4, 5))
+
+
+def _first_map_failure(src, tgt, f):
+    """Reference for RingMap's law check: a loop over the pairs in row-major order."""
+    for x in range(src.order):
+        for y in range(src.order):
+            if f[src.add[x][y]] != tgt.add[f[x]][f[y]]:
+                return f"map not additive at ({x}, {y})"
+            if f[src.mul[x][y]] != tgt.mul[f[x]][f[y]]:
+                return f"map not multiplicative at ({x}, {y})"
+    return None
+
+
+def test_ring_map_reports_the_first_failing_pair(z6, z12):
+    f2 = construct("gf(2)")
+    valid = [
+        RingMap.identity(z6),
+        RingMap(z12, construct("zmod(4)"), tuple(x % 4 for x in range(12))),
+        direct_product(f2, f2).projections[1],
+    ]
+    broken = 0
+    for good in valid:
+        src, tgt = good.source, good.target
+        for x in range(src.order):
+            if x == src.one:
+                continue
+            for v in range(tgt.order):
+                if v == good(x):
+                    continue
+                table = list(good.table)
+                table[x] = v
+                want = _first_map_failure(src, tgt, table)
+                assert want is not None
+                with pytest.raises(ValueError) as exc:
+                    RingMap(src, tgt, tuple(table))
+                assert str(exc.value) == want
+                broken += 1
+    assert broken == 25 + 33 + 3
+    # every table on gf(4) fixing one: two homomorphisms, the rest fail
+    # additively or, for the maps killing a generator, multiplicatively
+    f4 = construct("gf(4)")
+    kinds = Counter()
+    for table in itertools.product(range(4), repeat=4):
+        if table[f4.one] != f4.one:
+            continue
+        want = _first_map_failure(f4, f4, table)
+        if want is None:
+            RingMap(f4, f4, table)
+        else:
+            with pytest.raises(ValueError) as exc:
+                RingMap(f4, f4, table)
+            assert str(exc.value) == want
+        kinds[want and want.split()[2]] += 1
+    assert kinds == {None: 2, "additive": 60, "multiplicative": 2}
 
 
 def test_minimal_primes_and_semiprimeness(z6, z4, z12, t2f2, m2f2):
