@@ -19,7 +19,10 @@ class AxiomViolation(OreLabError):
     """A ring table fails one of the unital-ring laws.
 
     ``law`` names the first failing law, ``witness`` the elements at which
-    it fails (a tuple of carrier indices, shortest possible).
+    it fails (a tuple of carrier indices, shortest possible).  A witness
+    (x, y, z) of a law in three variables reads (x+y)+z, x*(y+z), (x+y)*z
+    or (x*y)*z; its y is the additive generator at which the law was
+    checked.
     """
 
     def __init__(self, law: str, witness: tuple, message: str | None = None):

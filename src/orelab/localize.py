@@ -3,17 +3,16 @@
 The construction is the textbook one: pairs (s, r) standing for s^-1 r,
 identified when c*s = d*t lands in the denominator set with c*r = d*q.
 One union-find over the pairs finds the classes from two kinds of edges
-of that relation.  Within a row, (s, r) ~ (s, r + g) for g in a
-generating set of ass(S): some t in S has t*g = 0, so both pairs meet at
-(t*s, t*r).  Across rows, one left Ore witness s1*s0 = r1*s per s ties
-row s and the least row s0 to row r1*s, each by an edge
-(s, r) ~ (c*s, c*r) with c*s in S.  The tables are then certified by the
-characterization of S^-1 R: a ring A with a unital map
-sigma: R -> A is the left localization at S exactly when sigma(S) lies
-in the units of A, ker sigma = ass(S), and every element of A is
-sigma(s)^-1 sigma(r).  Every pair is checked against the last condition,
-at every ring order.  The construction never peeks at the
-quotient-by-annihilator shortcut; that model is a separate oracle
+of that relation.  Within a row, (s, r) ~ (s, r + g) for g in ass(S):
+some t in S has t*g = 0, so both pairs meet at (t*s, t*r).  Across rows,
+one left Ore witness s1*s0 = r1*s per s ties row s and the least row s0
+to row r1*s, each by an edge (s, r) ~ (c*s, c*r) with c*s in S.  The
+tables are then certified by the characterization of S^-1 R: a ring A
+with a unital map sigma: R -> A is the left localization at S exactly
+when sigma(S) lies in the units of A, ker sigma = ass(S), and every
+element of A is sigma(s)^-1 sigma(r).  Every pair is checked against the
+last condition, at every ring order.  The construction never peeks at
+the quotient-by-annihilator shortcut; that model is a separate oracle
 (``quotient_model_isomorphism``) used to cross-check the result.
 """
 
@@ -27,7 +26,6 @@ from .rings import (
     CarrierSubset,
     FiniteRing,
     RingMap,
-    additive_generators,
     induced_map,
     once,
     quotient,
@@ -91,12 +89,13 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     is what cores of denominator sets look like.
 
     The pairs are classed by one union-find over the |S|*n pairs with
-    O(|S|*n*log n) joins, each a true edge of the Ore relation:
+    O(|S|*n) joins, each a true edge of the Ore relation:
 
-    - within a row, (s, r) ~ (s, r + g) for g in a greedy generating set
-      of ass(S), at most log2|ass(S)| elements.  Some t in S has t*g = 0,
-      so (s, r) ~ (t*s, t*r) = (t*s, t*(r + g)) ~ (s, r + g).  These joins
-      make s^-1 r = s^-1 r' exactly when r - r' lies in ass(S).
+    - within a row, (s, r) ~ (s, r + g) for g in ass(S).  Some t in S has
+      t*g = 0, so (s, r) ~ (t*s, t*r) = (t*s, t*(r + g)) ~ (s, r + g).
+      The union-find starts with each (s, r) hung under (s, m), m the
+      least element of the coset r + ass(S), so s^-1 r = s^-1 r' exactly
+      when r - r' lies in ass(S), with no join at all.
     - across rows, with s0 the least denominator and one left Ore witness
       s1*s0 = r1*s (s1 in S), row s joins row r1*s by r |-> r1*r and row
       s0 joins the same row by r |-> s1*r: both are (s, r) ~ (c*s, c*r)
@@ -137,10 +136,12 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
                 return w, cands[0]
         raise InternalInconsistency("left Ore witness vanished during table build")
 
-    # union-find over the pairs; a merge hangs the larger root under the
-    # smaller, so every root is the least pair of its class
+    # union-find over the pairs, started from the cosets of ass(S) in each
+    # row; a merge hangs the larger root under the smaller, so every root
+    # is the least pair of its class
     index = {s: i * n for i, s in enumerate(s_list)}
-    parent = list(range(len(pairs)))
+    coset_min = ring.np_add[:, list(a)].min(1).tolist()
+    parent = [i + m for i in index.values() for m in coset_min]
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -155,10 +156,7 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
                 parent[max(x, y)] = min(x, y)
 
     s0 = s_list[0]
-    gens = additive_generators(ring, a)
     for s in s_list:
-        for g in gens:
-            join(index[s], index[s], add[g])  # (s, r) ~ (s, r + g)
         s1, r1 = first_witness(s, s0)  # s1*s0 == r1*s lies in S
         t = index[mul[s1][s0]]
         join(index[s], t, mul[r1])

@@ -3,14 +3,27 @@
 A ring lives on the carrier {0, ..., n-1}; ``add`` and ``mul`` are full
 n-by-n tables.  Construction always validates every unital-ring law and
 reports the first failure with a witness, so a ``FiniteRing`` that exists
-is a ring.  Subsets of the carrier are bitmask-backed ``CarrierSubset``
-values; maps between rings are table-backed ``RingMap`` values validated
-as unital ring homomorphisms.
+is a ring.  The check is a proof in O(n^2 log n): the laws in one or two
+variables are checked outright, and each law in three variables only for
+its middle variable b in a generating set G of (R, +), one n-by-n gather
+per g in G; G has at most log2(n) + 1 elements when (R, +) is a group.
+The b that pass form a set closed under +, so passing on G proves the
+law for every b:
+
+- add-associative, by Light's test: if b and b' pass, so does b + b';
+- left- and right-distributive, once + is associative;
+- mul-associative, once both distributive laws hold.
+
+Subsets of the carrier are bitmask-backed ``CarrierSubset`` values; maps
+between rings are table-backed ``RingMap`` values validated as unital
+ring homomorphisms.  Quotient, product and opposite tables are built by
+gathers on the numpy tables ``np_add`` and ``np_mul``.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -154,7 +167,7 @@ class CarrierSubset:
 
 
 def _as_table(t, n: int, what: str) -> tuple[tuple[int, ...], ...]:
-    rows = [tuple(int(v) for v in row) for row in t]
+    rows = [tuple(map(int, row)) for row in (t.tolist() if isinstance(t, np.ndarray) else t)]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"{what} table is not {n}x{n}")
     return tuple(rows)
@@ -195,6 +208,11 @@ class FiniteRing:
         return m
 
     def _validate(self) -> None:
+        """Raise AxiomViolation for the first failing law, in the order
+        closure, nontrivial, add-commutative, add-identity, add-inverse,
+        add-associative, mul-identity, left-distributive,
+        right-distributive, mul-associative; each law may assume the
+        earlier ones."""
         n = self.order
         A, M = self.np_add, self.np_mul
         for what, T in (("add", A), ("mul", M)):
@@ -213,36 +231,36 @@ class FiniteRing:
         has_neg = (A == self.zero).any(axis=1)
         if not has_neg.all():
             raise AxiomViolation("add-inverse", (int(np.argwhere(~has_neg)[0][0]),))
-        for a in range(n):
-            left = A[A[a]]
-            right = A[a][A]
-            if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
-                raise AxiomViolation("add-associative", (a, int(b), int(c)))
-        for a in range(n):
-            left = M[M[a]]
-            right = M[a][M]
-            if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
-                raise AxiomViolation("mul-associative", (a, int(b), int(c)))
+        # The laws in three variables are checked only for a middle variable
+        # b in G, a generating set of (R, +); the b that pass form a set closed
+        # under +, so passing on G proves each law for every b.  This is
+        # Light's associativity test, extended to distributivity.
+        G = [self.zero] + additive_generators(self, CarrierSubset.full(n))
+
+        def on_generators(law: str, sides) -> None:
+            # sides(g)[x, y] are the two sides of the law at (x, g, y)
+            for g in G:
+                bad = np.not_equal(*sides(g))  # frees both sides at once
+                if bad.any():
+                    x, y = (int(v) for v in np.argwhere(bad)[0])
+                    raise AxiomViolation(law, (x, g, y))
+
+        # (x+g)+y = x+(g+y): if b and b' pass, (x+(b+b'))+y = ((x+b)+b')+y
+        # = (x+b)+(b'+y) = x+(b+(b'+y)) = x+((b+b')+y)
+        on_generators("add-associative", lambda g: (A[A[:, g]], A[:, A[g]]))
         if not np.array_equal(M[self.one], idx):
             b = int(np.argwhere(M[self.one] != idx)[0][0])
             raise AxiomViolation("mul-identity", (b,), "one is not a left identity")
         if not np.array_equal(M[:, self.one], idx):
             b = int(np.argwhere(M[:, self.one] != idx)[0][0])
             raise AxiomViolation("mul-identity", (b,), "one is not a right identity")
-        for a in range(n):
-            left = M[a][A]
-            right = A[np.ix_(M[a], M[a])]
-            if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
-                raise AxiomViolation("left-distributive", (a, int(b), int(c)))
-        for c in range(n):
-            left = M[:, c][A]
-            right = A[np.ix_(M[:, c], M[:, c])]
-            if not np.array_equal(left, right):
-                x, y = np.argwhere(left != right)[0]
-                raise AxiomViolation("right-distributive", (int(x), int(y), c))
+        # a(g+c) = ag+ac and (a+g)c = ac+gc: with + associative, a((b+b')+c)
+        # = a(b+(b'+c)) = ab+(ab'+ac) = a(b+b')+ac, and the same on the right
+        on_generators("left-distributive", lambda g: (M[:, A[g]], A[M[:, g][:, None], M]))
+        on_generators("right-distributive", lambda g: (M[A[:, g]], A[M, M[g]]))
+        # (ag)c = a(gc): with both distributive laws, (a(b+b'))c = (ab)c+(ab')c
+        # = a(bc)+a(b'c) = a((b+b')c)
+        on_generators("mul-associative", lambda g: (M[M[:, g]], M[:, M[g]]))
 
     # -- basic structure ----------------------------------------------
 
@@ -346,31 +364,17 @@ def once(fn, *args):
 
 
 def units(ring: FiniteRing) -> CarrierSubset:
-    """Two-sided invertible elements, found by scanning for inverses."""
-    one = ring.one
-    mul = ring.mul
-    out = 0
-    for u in range(ring.order):
-        row = mul[u]
-        for v in range(ring.order):
-            if row[v] == one and mul[v][u] == one:
-                out |= 1 << u
-                break
-    return CarrierSubset(ring.order, out)
+    """Two-sided invertible elements: u with some v, u*v == v*u == 1."""
+    M = ring.np_mul
+    return CarrierSubset(ring.order, _members_mask(((M == ring.one) & (M.T == ring.one)).any(1)))
 
 
 def regular_elements(ring: FiniteRing) -> CarrierSubset:
-    """Elements that are neither left nor right zero divisors."""
-    n = ring.order
-    mul = ring.mul
-    out = 0
-    for u in range(n):
-        if len(set(mul[u])) != n:
-            continue
-        if len({mul[r][u] for r in range(n)}) != n:
-            continue
-        out |= 1 << u
-    return CarrierSubset(n, out)
+    """Elements that are neither left nor right zero divisors: u whose row
+    and column of the multiplication table are both permutations."""
+    M, idx = ring.np_mul, np.arange(ring.order)
+    rows = (np.sort(M, axis=1) == idx).all(1)
+    return CarrierSubset(ring.order, _members_mask(rows & (np.sort(M, axis=0) == idx[:, None]).all(0)))
 
 
 def is_division_ring(ring: FiniteRing) -> bool:
@@ -753,22 +757,15 @@ def quotient(ring: FiniteRing, ideal: CarrierSubset) -> tuple[FiniteRing, RingMa
         raise NotAnIdeal(f"{ideal} does not absorb multiplication at {w}")
     if len(ideal) == ring.order:
         raise ImproperIdeal("cannot form the quotient by the whole ring")
-    add = ring.add
-    n = ring.order
-    ideal_elems = ideal.indices()
-    coset_rep = [-1] * n
-    for x in range(n):
-        coset_rep[x] = min(add[x][i] for i in ideal_elems)
-    reps = sorted(set(coset_rep))
-    index_of = {r: k for k, r in enumerate(reps)}
-    proj = tuple(index_of[coset_rep[x]] for x in range(n))
-    k = len(reps)
-    q_add = [[index_of[coset_rep[add[reps[i]][reps[j]]]] for j in range(k)] for i in range(k)]
-    q_mul = [[index_of[coset_rep[ring.mul[reps[i]][reps[j]]]] for j in range(k)] for i in range(k)]
-    names = None
-    if ring.names is not None:
-        names = [ring.names[r] for r in reps]
-    q = FiniteRing(k, q_add, q_mul, proj[ring.zero], proj[ring.one], names)
+    # each coset is numbered by its least element, in increasing order; the
+    # least elements are the x with x == min(x + a)
+    coset_min = ring.np_add[:, _mask_members(ring.order, ideal.mask)].min(1)
+    reps = (coset_min == np.arange(ring.order)).nonzero()[0]
+    proj = np.searchsorted(reps, coset_min)
+    q_add = proj[ring.np_add[reps[:, None], reps]]
+    q_mul = proj[ring.np_mul[reps[:, None], reps]]
+    names = None if ring.names is None else [ring.names[r] for r in reps.tolist()]
+    q = FiniteRing(len(reps), q_add, q_mul, proj[ring.zero], proj[ring.one], names)
     return q, RingMap(ring, q, proj)
 
 
@@ -820,41 +817,25 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
         raise SizeGuardExceeded("direct product", n, guards.order)
 
     radices = [f.order for f in factors]
-    decoded = [radix_decode(radices, x) for x in range(n)]
-    add_t = [
-        [radix_encode(radices, [f.add[a[i]][b[i]] for i, f in enumerate(factors)]) for b in decoded]
-        for a in decoded
-    ]
-    mul_t = [
-        [radix_encode(radices, [f.mul[a[i]][b[i]] for i, f in enumerate(factors)]) for b in decoded]
-        for a in decoded
-    ]
+    strides = [math.prod(radices[i + 1 :]) for i in range(len(factors))]
+    digits = [np.arange(n) // st % f.order for st, f in zip(strides, factors)]
+    # a table entry is the sum of its factors' entries, each at its stride
+    add_t = sum(st * f.np_add[d[:, None], d] for st, f, d in zip(strides, factors, digits))
+    mul_t = sum(st * f.np_mul[d[:, None], d] for st, f, d in zip(strides, factors, digits))
     zero = radix_encode(radices, [f.zero for f in factors])
     one = radix_encode(radices, [f.one for f in factors])
     names = None
     if all(f.names is not None for f in factors):
-        names = [
-            "(" + ",".join(f.names[p[i]] for i, f in enumerate(factors)) + ")"
-            for p in decoded
-        ]
+        parts = zip(*([f.names[v] for v in d.tolist()] for f, d in zip(factors, digits)))
+        names = ["(" + ",".join(p) + ")" for p in parts]
     ring = FiniteRing(n, add_t, mul_t, zero, one, names)
-    projections = tuple(
-        RingMap(ring, f, tuple(decoded[x][i] for x in range(n)))
-        for i, f in enumerate(factors)
+    projections = tuple(RingMap(ring, f, d) for f, d in zip(factors, digits))
+    embeddings = tuple(
+        tuple(zero + (x - f.zero) * st for x in range(f.order)) for st, f in zip(strides, factors)
     )
-    embeddings = []
-    zeros = [f.zero for f in factors]
-    for i, f in enumerate(factors):
-        table = []
-        for x in range(f.order):
-            parts = list(zeros)
-            parts[i] = x
-            table.append(radix_encode(radices, parts))
-        embeddings.append(tuple(table))
-    return ProductRing(ring, tuple(factors), projections, tuple(embeddings))
+    return ProductRing(ring, tuple(factors), projections, embeddings)
 
 
 def opposite(ring: FiniteRing) -> FiniteRing:
     """Same carrier and addition, multiplication reversed; an involution."""
-    mul_t = tuple(tuple(ring.mul[y][x] for y in range(ring.order)) for x in range(ring.order))
-    return FiniteRing(ring.order, ring.add, mul_t, ring.zero, ring.one, ring.names)
+    return FiniteRing(ring.order, ring.add, ring.np_mul.T, ring.zero, ring.one, ring.names)
