@@ -361,11 +361,10 @@ def _build(spec: RingSpec, guards: Guards) -> FiniteRing:
 def canonical_text(ring: FiniteRing, include_names: bool = True) -> str:
     """Serialize in the fixed field order: order, one, zero, add, mul, names."""
     lines = [f"order {ring.order}", f"one {ring.one}", f"zero {ring.zero}", "add"]
-    for row in ring.add:
-        lines.append(" ".join(str(v) for v in row))
+    text = [str(x) for x in ring.elements]  # each element formatted once
+    lines += [" ".join([text[v] for v in row]) for row in ring.add]
     lines.append("mul")
-    for row in ring.mul:
-        lines.append(" ".join(str(v) for v in row))
+    lines += [" ".join([text[v] for v in row]) for row in ring.mul]
     if include_names and ring.names is not None:
         lines.append("names")
         lines.append(" ".join(ring.names))
@@ -439,7 +438,10 @@ def load_ring_file(path: str, guards: Guards = DEFAULT_GUARDS) -> FiniteRing:
             toks = line.split()
             if len(toks) != order:
                 raise ParseError(lineno, f"{key} row has {len(toks)} entries, expected {order}")
-            rows.append([_parse_int(t, lineno, key) for t in toks])
+            try:
+                rows.append(list(map(int, toks)))
+            except ValueError:  # name the line and its first bad token
+                rows.append([_parse_int(t, lineno, key) for t in toks])
         return rows
 
     add = table("add")

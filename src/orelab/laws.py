@@ -779,7 +779,7 @@ def _check_annihilator_union_is_sum(ctx: LawContext):
         union = 0
         kernels = []
         for s in sub:
-            k = ring.left_kernel_mask(s)
+            k = ass(ring, [s]).mask
             union |= k
             kernels.append(CarrierSubset(ring.order, k))
         total = kernels[0]
@@ -794,7 +794,7 @@ def _check_core_equals_max_kernels(ctx: LawContext):
     ring = ctx.ring
     for sub in ctx.ore_sets:
         members = sorted(sub.indices())
-        kernels = {s: ring.left_kernel_mask(s) for s in members}
+        kernels = {s: ass(ring, [s]).mask for s in members}
         maxima = {
             s
             for s, k in kernels.items()

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, SizeGuardExceeded
 from .localize import FractionRing, build_fraction_ring, largest_left_quotient, quotient_model_isomorphism
-from .oresets import MulSet, ass, is_left_denominator
+from .oresets import MulSet, ass, closure_escape, is_left_denominator
 from .rings import (
     CarrierSubset,
     FiniteRing,
@@ -186,15 +186,12 @@ def closed_unital_subsets(ring: FiniteRing) -> Iterator[CarrierSubset]:
     brute-force guard first.
     """
     n = ring.order
-    mul = ring.mul
     rest = [x for x in range(n) if x not in (ring.zero, ring.one)]
     for bits in range(1 << len(rest)):
-        members = [ring.one] + [rest[i] for i in range(len(rest)) if (bits >> i) & 1]
-        mask = 0
-        for m in members:
-            mask |= 1 << m
-        if all((mask >> mul[a][b]) & 1 for a in members for b in members):
-            yield CarrierSubset(n, mask)
+        picked = [x for i, x in enumerate(rest) if (bits >> i) & 1]
+        sub = CarrierSubset.from_indices(n, [ring.one] + picked)
+        if closure_escape(ring, sub) is None:
+            yield sub
 
 
 def brute_force_denominator_sets(

@@ -5,6 +5,9 @@ only on sets that contain one: cores of denominator sets are closed
 semigroups that usually lack one, yet they are denominator sets in every
 sense that matters (their fraction rings exist and are isomorphic to the
 original ones).  ``MulSet`` is the strict notion used in reports.
+
+The predicates are gathers on the numpy table ``ring.np_mul``, and a
+failure's witness is the first one in lexicographic order.
 """
 
 from __future__ import annotations
@@ -12,14 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import InternalInconsistency, NotDenominator, NotOre, ZeroAbsorbed
-from .rings import CarrierSubset, FiniteRing, is_two_sided_ideal, opposite
+from .rings import CarrierSubset, FiniteRing, is_two_sided_ideal, mask_members, members_mask, opposite
 
 __all__ = [
     "MulSet",
     "Verdict",
     "OreReport",
     "mul_closure",
+    "closure_escape",
     "is_left_ore",
     "is_left_denominator",
     "ass",
@@ -54,12 +60,10 @@ class MulSet:
             raise ValueError("a multiplicative set must contain one")
         if ring.zero in elements:
             raise ValueError("a multiplicative set must not contain zero")
-        elems = elements.indices()
-        for s in elems:
-            row = ring.mul[s]
-            for t in elems:
-                if row[t] not in elements:
-                    raise ValueError(f"not closed under multiplication: {s}*{t} escapes")
+        escape = closure_escape(ring, elements)
+        if escape is not None:
+            s, t = escape
+            raise ValueError(f"not closed under multiplication: {s}*{t} escapes")
         self.ring = ring
         self.elements = elements
 
@@ -119,11 +123,26 @@ def check_semigroup(ring: FiniteRing, elems: CarrierSubset) -> None:
         raise ValueError("empty set cannot be a denominator semigroup")
     if ring.zero in elems:
         raise ValueError("denominator semigroup must not contain zero")
-    idx = elems.indices()
-    for s in idx:
-        for t in idx:
-            if ring.mul[s][t] not in elems:
-                raise ValueError(f"not multiplicatively closed: {s}*{t} escapes")
+    escape = closure_escape(ring, elems)
+    if escape is not None:
+        s, t = escape
+        raise ValueError(f"not multiplicatively closed: {s}*{t} escapes")
+
+
+def _indices(ring: FiniteRing, elems: CarrierSubset) -> np.ndarray:
+    """The members of elems in increasing order, as an index array."""
+    return mask_members(ring.order, elems.mask).nonzero()[0]
+
+
+def closure_escape(ring: FiniteRing, elems: CarrierSubset) -> tuple[int, int] | None:
+    """The first (s, t) of S x S in row-major order with s*t outside S, or None."""
+    members = mask_members(ring.order, elems.mask)
+    S = members.nonzero()[0]
+    escapes = ~members[ring.np_mul[S[:, None], S]]
+    if not escapes.any():
+        return None
+    i, j = divmod(int(escapes.argmax()), len(S))
+    return int(S[i]), int(S[j])
 
 
 def mul_closure(ring: FiniteRing, generators: Iterable[int]) -> MulSet:
@@ -169,10 +188,8 @@ def mul_closure(ring: FiniteRing, generators: Iterable[int]) -> MulSet:
 def ass(ring_or_mulset, setlike=None) -> CarrierSubset:
     """ass(S) = {r : s*r = 0 for some s in S}, the union of left kernels."""
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
-    mask = 0
-    for s in elems:
-        mask |= ring.left_kernel_mask(s)
-    return CarrierSubset(ring.order, mask)
+    S = _indices(ring, elems)
+    return CarrierSubset(ring.order, members_mask((ring.np_mul[S] == ring.zero).any(0)))
 
 
 def r_ass(ring: FiniteRing, setlike) -> CarrierSubset:
@@ -180,10 +197,8 @@ def r_ass(ring: FiniteRing, setlike) -> CarrierSubset:
     elems = subset_of(ring, setlike)
     if not elems:
         raise ValueError("r_ass needs a nonempty set")
-    mask = 0
-    for x in elems:
-        mask |= ring.right_kernel_mask(x)
-    return CarrierSubset(ring.order, mask)
+    X = _indices(ring, elems)
+    return CarrierSubset(ring.order, members_mask((ring.np_mul[:, X] == ring.zero).any(1)))
 
 
 def is_left_ore(ring_or_mulset, setlike=None) -> Verdict:
@@ -193,42 +208,41 @@ def is_left_ore(ring_or_mulset, setlike=None) -> Verdict:
     lexicographic order.
     """
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
-    mul = ring.mul
-    n = ring.order
-    s_list = elems.indices()
-    # Rs as a bitmask per s in S
-    rs_mask = {}
-    for s in s_list:
-        m = 0
-        for r in range(n):
-            m |= 1 << mul[r][s]
-        rs_mask[s] = m
-    for r in range(n):
-        sr = 0
-        for s in s_list:
-            sr |= 1 << mul[s][r]
-        for s in s_list:
-            if sr & rs_mask[s] == 0:
-                return Verdict(False, (r, s))
-    return Verdict(True, None)
+    n, M = ring.order, ring.np_mul
+    S = _indices(ring, elems)
+    # 0/1 member matrices: sr[r] is S*r and rs[j] is R*s_j; (sr @ rs.T)[r, j]
+    # counts |S*r meet R*s_j| exactly, as counts <= n < 2**24 fit a float32
+    sr = np.zeros((n, n), dtype=np.float32)
+    sr[np.arange(n), M[S]] = 1
+    rs = np.zeros((len(S), n), dtype=np.float32)
+    rs[np.arange(len(S)), M[:, S]] = 1
+    disjoint = (sr @ rs.T) == 0
+    if not disjoint.any():
+        return Verdict(True, None)
+    r, j = divmod(int(disjoint.argmax()), len(S))
+    return Verdict(False, (r, int(S[j])))
 
 
 def is_left_denominator(ring_or_mulset, setlike=None) -> Verdict:
-    """Left Ore plus left reversibility (r*s = 0 forces t*r = 0, t in S)."""
+    """Left Ore plus left reversibility: r*s = 0 with s in S forces t*r = 0
+    for some t in S, that is, r.ass(S) is contained in ass(S).
+
+    On a finite ring reversibility follows from the Ore condition, as a
+    finite ring is left Noetherian; it is still checked.  The witness of
+    a failure is the least r in r.ass(S) - ass(S) and the least s in S
+    with r*s = 0.
+    """
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
     ore = is_left_ore(ring, elems)
     if not ore.holds:
         return ore
-    kill = ass(ring, elems).mask
-    mul = ring.mul
-    zero = ring.zero
-    for r in range(ring.order):
-        if (kill >> r) & 1:
-            continue
-        for s in elems:
-            if mul[r][s] == zero:
-                return Verdict(False, (r, s))
-    return Verdict(True, None)
+    S = _indices(ring, elems)
+    kills = ring.np_mul[:, S] == ring.zero  # kills[r, j]: r*s_j = 0
+    irreversible = kills.any(1) & ~mask_members(ring.order, ass(ring, elems).mask)
+    if not irreversible.any():
+        return Verdict(True, None)
+    r = int(irreversible.argmax())
+    return Verdict(False, (r, int(S[kills[r].argmax()])))
 
 
 def core(ring_or_mulset, setlike=None) -> CarrierSubset:
@@ -237,12 +251,10 @@ def core(ring_or_mulset, setlike=None) -> CarrierSubset:
     ore = is_left_ore(ring, elems)
     if not ore.holds:
         raise NotOre(ore.witness)
-    target = ass(ring, elems).mask
-    out = 0
-    for s in elems:
-        if ring.left_kernel_mask(s) == target:
-            out |= 1 << s
-    return CarrierSubset(ring.order, out)
+    S = _indices(ring, elems)
+    kernels = ring.np_mul[S] == ring.zero  # row j is the left kernel of s_j
+    full = (kernels == kernels.any(0)).all(1)
+    return CarrierSubset.from_indices(ring.order, S[full].tolist())
 
 
 def max_kernel_elements(ring_or_mulset, setlike=None) -> CarrierSubset:
@@ -252,7 +264,7 @@ def max_kernel_elements(ring_or_mulset, setlike=None) -> CarrierSubset:
     asserted here rather than assumed.
     """
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
-    kernels = {s: ring.left_kernel_mask(s) for s in elems}
+    kernels = {s: ass(ring, [s]).mask for s in elems}
     values = set(kernels.values())
 
     def is_max(k: int) -> bool:

@@ -296,25 +296,6 @@ class FiniteRing:
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names is not None else str(x)
 
-    def left_kernel_mask(self, s: int) -> int:
-        """Bitmask of {r : s*r = 0}."""
-        row = self.mul[s]
-        z = self.zero
-        mask = 0
-        for r in range(self.order):
-            if row[r] == z:
-                mask |= 1 << r
-        return mask
-
-    def right_kernel_mask(self, s: int) -> int:
-        """Bitmask of {r : r*s = 0}."""
-        z = self.zero
-        mask = 0
-        for r in range(self.order):
-            if self.mul[r][s] == z:
-                mask |= 1 << r
-        return mask
-
 
 def from_tables(order, add, mul, zero, one, names=None) -> FiniteRing:
     """Build and fully validate a ring from raw tables."""
@@ -366,7 +347,7 @@ def once(fn, *args):
 def units(ring: FiniteRing) -> CarrierSubset:
     """Two-sided invertible elements: u with some v, u*v == v*u == 1."""
     M = ring.np_mul
-    return CarrierSubset(ring.order, _members_mask(((M == ring.one) & (M.T == ring.one)).any(1)))
+    return CarrierSubset(ring.order, members_mask(((M == ring.one) & (M.T == ring.one)).any(1)))
 
 
 def regular_elements(ring: FiniteRing) -> CarrierSubset:
@@ -374,7 +355,7 @@ def regular_elements(ring: FiniteRing) -> CarrierSubset:
     and column of the multiplication table are both permutations."""
     M, idx = ring.np_mul, np.arange(ring.order)
     rows = (np.sort(M, axis=1) == idx).all(1)
-    return CarrierSubset(ring.order, _members_mask(rows & (np.sort(M, axis=0) == idx[:, None]).all(0)))
+    return CarrierSubset(ring.order, members_mask(rows & (np.sort(M, axis=0) == idx[:, None]).all(0)))
 
 
 def is_division_ring(ring: FiniteRing) -> bool:
@@ -384,13 +365,13 @@ def is_division_ring(ring: FiniteRing) -> bool:
 # -- subgroups and ideals ------------------------------------------------
 
 
-def _mask_members(n: int, mask: int) -> np.ndarray:
+def mask_members(n: int, mask: int) -> np.ndarray:
     """The boolean member vector of a bitmask on {0..n-1}."""
     bits = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(bits, count=n, bitorder="little").view(bool)
 
 
-def _members_mask(members: np.ndarray) -> int:
+def members_mask(members: np.ndarray) -> int:
     """The bitmask of a boolean member vector."""
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
 
@@ -416,7 +397,7 @@ def _additive_closure(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
 def additive_generators(ring: FiniteRing, sub: CarrierSubset) -> list[int]:
     """At most log2|sub| elements generating the additive subgroup sub,
     picked greedily: each lies outside the span so far and at least doubles it."""
-    span = _mask_members(ring.order, 1 << ring.zero)
+    span = mask_members(ring.order, 1 << ring.zero)
     gens = []
     for g in sub:
         if not span[g]:
@@ -429,23 +410,28 @@ def additive_generators(ring: FiniteRing, sub: CarrierSubset) -> list[int]:
 def is_additive_subgroup(ring: FiniteRing, sub: CarrierSubset) -> bool:
     if ring.zero not in sub:
         return False
-    add = ring.add
-    elems = sub.indices()
-    m = sub.mask
-    return all((m >> add[x][y]) & 1 for x in elems for y in elems)
+    members = mask_members(ring.order, sub.mask)
+    idx = members.nonzero()[0]
+    return bool(members[ring.np_add[idx[:, None], idx]].all())
 
 
 def _absorbs(ring: FiniteRing, mask: int, left: bool, right: bool):
     """Return None if mask absorbs multiplication on the given sides,
-    else a witness (r, h) or (h, r)."""
-    mul = ring.mul
-    for h in _bit_indices(mask):
-        for r in range(ring.order):
-            if left and not (mask >> mul[r][h]) & 1:
-                return (r, h)
-            if right and not (mask >> mul[h][r]) & 1:
-                return (h, r)
-    return None
+    else a witness (r, h) or (h, r): the first by h, then r, then the
+    left side before the right."""
+    members = mask_members(ring.order, mask)
+    H = members.nonzero()[0]
+    M = ring.np_mul
+    escapes = np.zeros((len(H), ring.order, 2), dtype=bool)  # [h, r, side]
+    if left:
+        escapes[:, :, 0] = ~members[M[:, H].T]
+    if right:
+        escapes[:, :, 1] = ~members[M[H]]
+    if not escapes.any():
+        return None
+    i, r, side = (int(v) for v in np.unravel_index(escapes.argmax(), escapes.shape))
+    h = int(H[i])
+    return (h, r) if side else (r, h)
 
 
 def is_left_ideal(ring: FiniteRing, sub: CarrierSubset) -> bool:
@@ -464,10 +450,10 @@ def subgroup_sum(ring: FiniteRing, a: CarrierSubset, b: CarrierSubset) -> Carrie
     """Pointwise sum A + B of two additive subgroups (again a subgroup)."""
     n = ring.order
     members = np.zeros(n, dtype=bool)
-    ia = _mask_members(n, a.mask).nonzero()[0]
-    ib = _mask_members(n, b.mask).nonzero()[0]
+    ia = mask_members(n, a.mask).nonzero()[0]
+    ib = mask_members(n, b.mask).nonzero()[0]
     members[ring.np_add[ia[:, None], ib]] = True
-    return CarrierSubset(n, _members_mask(members))
+    return CarrierSubset(n, members_mask(members))
 
 
 def ideal_closure(ring: FiniteRing, generators: Iterable[int], side: str = "two") -> CarrierSubset:
@@ -493,7 +479,7 @@ def ideal_closure(ring: FiniteRing, generators: Iterable[int], side: str = "two"
         members[M[:, gens]] = True
         if side == "two":
             members[M[members]] = True
-    return CarrierSubset(n, _members_mask(_additive_closure(ring, members)))
+    return CarrierSubset(n, members_mask(_additive_closure(ring, members)))
 
 
 def additive_subgroups(ring: FiniteRing, guard: int | None = None) -> list[CarrierSubset]:
@@ -519,7 +505,7 @@ def additive_subgroups(ring: FiniteRing, guard: int | None = None) -> list[Carri
                 key = h | (1 << x)
                 grown = closure_memo.get(key)
                 if grown is None:
-                    grown = _members_mask(_additive_closure(ring, _mask_members(n, key)))
+                    grown = members_mask(_additive_closure(ring, mask_members(n, key)))
                     closure_memo[key] = grown
                 if grown not in seen:
                     seen.add(grown)
@@ -541,20 +527,20 @@ def _ideal_lattice(ring: FiniteRing, side: str) -> list[CarrierSubset]:
     n = ring.order
     principal = dict.fromkeys(ideal_closure(ring, [x], side).mask for x in range(n))
     # each ideal becomes a member index array once; a sum is one np_add gather
-    gens = [(m, _mask_members(n, m).nonzero()[0]) for m in principal]
+    gens = [(m, mask_members(n, m).nonzero()[0]) for m in principal]
     root = 1 << ring.zero
     seen = {root}
     frontier = [root]
     while frontier:
         nxt = []
         for h in frontier:
-            cur = _mask_members(n, h).nonzero()[0][:, None]
+            cur = mask_members(n, h).nonzero()[0][:, None]
             for m, p in gens:
                 if m | h == h:
                     continue
                 members = np.zeros(n, dtype=bool)
                 members[ring.np_add[cur, p]] = True
-                grown = _members_mask(members)
+                grown = members_mask(members)
                 if grown not in seen:
                     seen.add(grown)
                     nxt.append(grown)
@@ -584,7 +570,7 @@ def left_ideals(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[Carri
 def _is_prime_ideal(ring: FiniteRing, p: CarrierSubset) -> bool:
     # p is prime iff no a, b outside p have a*R*b inside p.  For one a the
     # products (a*r)*b are the rows M[a*R], so no table exceeds n*n entries.
-    in_p = _mask_members(ring.order, p.mask)
+    in_p = mask_members(ring.order, p.mask)
     outside = (~in_p).nonzero()[0]
     if not outside.size:
         return False  # the whole ring is not prime
@@ -612,13 +598,13 @@ def is_semiprime(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool:
     with one_analysis():
         ideals = once(two_sided_ideals, ring, guards)
         zero = ring.zero
-        mul = ring.mul
+        M = ring.np_mul
         by_squares = True
         for ideal in ideals:
             if len(ideal) == 1:
                 continue
-            elems = ideal.indices()
-            if all(mul[a][b] == zero for a in elems for b in elems):
+            idx = mask_members(ring.order, ideal.mask).nonzero()[0]
+            if (M[idx[:, None], idx] == zero).all():
                 by_squares = False
                 break
         inter = (1 << ring.order) - 1
@@ -759,7 +745,7 @@ def quotient(ring: FiniteRing, ideal: CarrierSubset) -> tuple[FiniteRing, RingMa
         raise ImproperIdeal("cannot form the quotient by the whole ring")
     # each coset is numbered by its least element, in increasing order; the
     # least elements are the x with x == min(x + a)
-    coset_min = ring.np_add[:, _mask_members(ring.order, ideal.mask)].min(1)
+    coset_min = ring.np_add[:, mask_members(ring.order, ideal.mask)].min(1)
     reps = (coset_min == np.arange(ring.order)).nonzero()[0]
     proj = np.searchsorted(reps, coset_min)
     q_add = proj[ring.np_add[reps[:, None], reps]]
