@@ -19,14 +19,17 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadSpec, DEFAULT_GUARDS, Guards, ParseError, SizeGuardExceeded
 from .rings import (
     FiniteRing,
+    digitwise_table,
     direct_product,
     ideal_closure,
     opposite,
     quotient,
-    radix_decode,
+    radix_digits,
     radix_encode,
 )
 
@@ -210,6 +213,13 @@ def _poly_name(digits: tuple[int, ...]) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _residues(n: int) -> FiniteRing:
+    """Z/nZ on the residues 0..n-1."""
+    r = np.arange(n)
+    names = [str(i) for i in range(n)]
+    return FiniteRing(n, np.add.outer(r, r) % n, np.multiply.outer(r, r) % n, 0, 1, names)
+
+
 def _gf(q: int) -> FiniteRing:
     if q not in _GF_ORDERS:
         raise BadSpec(f"gf({q}) is not available; choose q in {_GF_ORDERS}")
@@ -220,9 +230,7 @@ def _gf(q: int) -> FiniteRing:
     if p**d != q:
         raise BadSpec(f"gf({q}): not a prime power")
     if d == 1:
-        add = [[(i + j) % p for j in range(p)] for i in range(p)]
-        mul = [[(i * j) % p for j in range(p)] for i in range(p)]
-        return FiniteRing(p, add, mul, 0, 1, tuple(str(i) for i in range(p)))
+        return _residues(p)
     irr = _GF_IRREDUCIBLE[q]
     els = []
     for idx in range(q):
@@ -273,40 +281,29 @@ def _matrix_ring(base: FiniteRing, k: int, upper: bool, guards: Guards) -> Finit
     order = base.order**m
     if order > guards.order:
         raise SizeGuardExceeded(f"matrix ring of order {base.order}^{m}", order, guards.order)
-    pos_index = {pq: t for t, pq in enumerate(positions)}
     radices = [base.order] * m
-    mats = [radix_decode(radices, i) for i in range(order)]
+    strides, digits = radix_digits(radices)
+    # entry[i][j][x] is the (i, j) entry of matrix x; zero off the stored positions
+    cell = dict(zip(positions, digits))
+    entry = [[cell.get((i, j), np.full(order, base.zero)) for j in range(k)] for i in range(k)]
+    A, M = base.np_add, base.np_mul
 
-    def at(entries: tuple[int, ...], i: int, j: int) -> int:
-        t = pos_index.get((i, j))
-        return entries[t] if t is not None else base.zero
+    def product_entry(i: int, j: int) -> np.ndarray:
+        # the (i, j) entry of x*y for every pair (x, y): the sum over l of x_il*y_lj
+        acc = np.full((order, order), base.zero)
+        for l in range(k):
+            acc = A[acc, M[entry[i][l][:, None], entry[l][j]]]
+        return acc
 
-    badd, bmul = base.add, base.mul
-    add_t = [
-        [radix_encode(radices, [badd[x[t]][y[t]] for t in range(m)]) for y in mats] for x in mats
-    ]
-    mul_t = []
-    for x in mats:
-        row = []
-        for y in mats:
-            out = []
-            for (i, j) in positions:
-                acc = base.zero
-                for l in range(k):
-                    acc = badd[acc][bmul[at(x, i, l)][at(y, l, j)]]
-                out.append(acc)
-            row.append(radix_encode(radices, out))
-        mul_t.append(row)
+    add_t = digitwise_table([A] * m, strides, digits)
+    mul_t = sum(st * product_entry(i, j) for st, (i, j) in zip(strides, positions))
     zero = radix_encode(radices, [base.zero] * m)
     one = radix_encode(radices, [base.one if i == j else base.zero for (i, j) in positions])
-
-    def mat_name(entries: tuple[int, ...]) -> str:
-        rows = []
-        for i in range(k):
-            rows.append("[" + ",".join(base.name_of(at(entries, i, j)) for j in range(k)) + "]")
-        return "[" + ",".join(rows) + "]"
-
-    names = tuple(mat_name(x) for x in mats)
+    cells = [[[base.name_of(v) for v in e.tolist()] for e in row] for row in entry]
+    names = [
+        "[" + ",".join("[" + ",".join(c[x] for c in row) + "]" for row in cells) + "]"
+        for x in range(order)
+    ]
     return FiniteRing(order, add_t, mul_t, zero, one, names)
 
 
@@ -328,9 +325,7 @@ def _build(spec: RingSpec, guards: Guards) -> FiniteRing:
             raise BadSpec("zmod(n) needs n >= 2")
         if n > guards.order:
             raise SizeGuardExceeded(f"zmod({n})", n, guards.order)
-        add = [[(i + j) % n for j in range(n)] for i in range(n)]
-        mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-        return FiniteRing(n, add, mul, 0, 1, tuple(str(i) for i in range(n)))
+        return _residues(n)
     if kind == "gf":
         q = spec.args[0]
         if q > guards.order:
@@ -362,9 +357,9 @@ def canonical_text(ring: FiniteRing, include_names: bool = True) -> str:
     """Serialize in the fixed field order: order, one, zero, add, mul, names."""
     lines = [f"order {ring.order}", f"one {ring.one}", f"zero {ring.zero}", "add"]
     text = [str(x) for x in ring.elements]  # each element formatted once
-    lines += [" ".join([text[v] for v in row]) for row in ring.add]
+    lines += [" ".join([text[v] for v in row]) for row in ring.np_add.tolist()]
     lines.append("mul")
-    lines += [" ".join([text[v] for v in row]) for row in ring.mul]
+    lines += [" ".join([text[v] for v in row]) for row in ring.np_mul.tolist()]
     if include_names and ring.names is not None:
         lines.append("names")
         lines.append(" ".join(ring.names))

@@ -15,9 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DEFAULT_GUARDS, Guards, NotDenominator, SizeGuardExceeded, ZeroAbsorbed
 from .localize import build_fraction_ring, core_transfer_isomorphism, largest_left_quotient, quotient_model_isomorphism
 from .maxden import (
+    _ROUTE_QUOTIENT,
     brute_force_denominator_sets,
     closed_unital_subsets,
     is_localization_maximal,
@@ -35,13 +38,13 @@ from .rings import (
     induced_map,
     is_division_ring,
     is_semiprime,
-    minimal_primes,
+    mask_members,
+    members_mask,
     once,
     one_analysis,
     quotient,
     subgroup_sum,
     two_sided_ideals,
-    uniform_dimension,
     unit_pullback,
     units,
 )
@@ -137,13 +140,17 @@ class LawContext:
 
 
 def _unit_inverses(ring: FiniteRing) -> dict[int, int]:
-    inv = {}
-    for u in units(ring):
-        for v in range(ring.order):
-            if ring.mul[u][v] == ring.one and ring.mul[v][u] == ring.one:
-                inv[u] = v
-                break
-    return inv
+    """The inverse of each unit; a two-sided inverse is unique."""
+    M = ring.np_mul
+    u, v = ((M == ring.one) & (M.T == ring.one)).nonzero()
+    return dict(zip(u.tolist(), v.tolist()))
+
+
+def _products(ring: FiniteRing, xs, ys) -> CarrierSubset:
+    """{x*y : x in xs, y in ys}, by one gather."""
+    members = np.zeros(ring.order, dtype=bool)
+    members[ring.np_mul[np.asarray(xs, dtype=np.intp)[:, None], np.asarray(ys, dtype=np.intp)]] = True
+    return CarrierSubset(ring.order, members_mask(members))
 
 
 def _zero_subset(ring: FiniteRing) -> CarrierSubset:
@@ -164,13 +171,12 @@ def _check_largest_quotient_unit_structure(ctx: LawContext):
         problems.append("pullback of the quotient's regular set is not the base regular set")
 
     inv = _unit_inverses(A)
-    gens = [sig(s) for s in lq.regular_set]
-    gens += [inv[g] for g in gens]
-    if mul_closure(A, gens).elements != a_units:
+    mapped = [sig(s) for s in lq.regular_set]
+    inverses = [inv[g] for g in mapped]
+    if mul_closure(A, mapped + inverses).elements != a_units:
         problems.append("units are not generated by the mapped denominators and their inverses")
 
-    frac_units = {A.mul[inv[sig(s)]][sig(t)] for s in lq.regular_set for t in lq.regular_set}
-    if frac_units != set(a_units):
+    if _products(A, inverses, mapped) != a_units:
         problems.append("units are not exactly the two-element fractions")
 
     if not lq2.fractions.sigma.is_bijective():
@@ -455,12 +461,11 @@ def _check_maximal_localization_properties(ctx: LawContext):
             return False, True, "set is not the unit preimage under the canonical map"
 
         inv = _unit_inverses(A)
-        gens = [theta(proj(x)) for x in s]
-        gens += [inv[g] for g in gens]
-        if set(mul_closure(A, gens)) != a_units:
+        mapped = [theta(proj(x)) for x in s]
+        inverses = [inv[g] for g in mapped]
+        if set(mul_closure(A, mapped + inverses)) != a_units:
             return False, True, "units are not generated by the projected set"
-        pair_units = {A.mul[inv[theta(proj(x))]][theta(proj(y))] for x in s for y in s}
-        if pair_units != a_units:
+        if set(_products(A, inverses, mapped)) != a_units:
             return False, True, "units are not the two-element fractions of the set"
 
         if not once(is_localization_maximal, A, ctx.guards):
@@ -562,10 +567,9 @@ def _check_isolated_component_denominators(ctx: LawContext):
         if not theta.is_bijective():
             return False, True, f"component localization {i} is not R-isomorphic to the maximal one"
 
-    summed = {ring.zero}
+    csum = _zero_subset(ring)
     for ci in crosses:
-        summed = {ring.add[x][c] for x in summed for c in ci}
-    csum = CarrierSubset.from_indices(ring.order, summed)
+        csum = subgroup_sum(ring, csum, ci)
     verdict = is_left_denominator(ring, csum)
     if not verdict.holds:
         return False, True, f"summed component set is not a denominator set at {verdict.witness}"
@@ -633,33 +637,14 @@ def _check_irredundant_division_presentation(ctx: LawContext):
 
 
 def _check_four_way_localizability(ctx: LawContext):
-    ring = ctx.ring
-    prof = ctx.profile
-    nonzero = CarrierSubset.full(ring.order) - _zero_subset(ring)
-    s1 = prof.localizable == nonzero
-
-    lq = ctx.lq
-    dec_q = once(product_decomposition, lq.ring, ctx.guards)
-    s24 = dec_q.succeeded and all(dec_q.factor_division)
-
-    try:
-        semiprime = once(is_semiprime, ring, ctx.guards)
-        if semiprime:
-            ud = uniform_dimension(ring, ctx.guards)
-            mins = once(minimal_primes, ring, ctx.guards)
-            s3 = ud == len(mins) == len(ctx.entries)
-        else:
-            s3 = False
-    except SizeGuardExceeded as e:
-        return True, False, f"skipped: {e}"
-
-    if not (s1 == s24 == s3):
-        return (
-            False,
-            True,
-            f"statements disagree: elements={s1}, quotient-splitting={s24}, goldie={s3}",
-        )
-    return True, True, f"all four statements are {s1} (classical and largest quotients coincide here)"
+    # the profile runs the elements, Goldie and quotient-splitting routes
+    # and raises InternalInconsistency when the routes that ran disagree
+    verdict = ctx.profile.verdict
+    if verdict.partial:
+        # report the skipped quotient route before the Goldie route
+        first = min((r for r in verdict.routes if not r.ran), key=lambda r: r.name != _ROUTE_QUOTIENT)
+        return True, False, first.detail
+    return True, True, f"all four statements are {verdict.localizable} (classical and largest quotients coincide here)"
 
 
 def _check_regular_set_transport(ctx: LawContext):
@@ -743,17 +728,17 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
 
 def _check_core_absorption(ctx: LawContext):
     ring = ctx.ring
+    M = ring.np_mul
     for sub in ctx.denominator_sets:
-        c = core(ring, sub)
-        cset = set(c)
-        members = sorted(sub.indices())
-        for s in members:
-            for t in cset:
-                if ring.mul[s][t] not in cset:
-                    return False, True, f"{s}*{t} left the core"
-        for s in members:
-            if not any(ring.mul[t][s] in cset for t in members):
-                return False, True, f"no multiple of {s} lands in the core"
+        in_core = mask_members(ring.order, core(ring, sub).mask)
+        S, C = mask_members(ring.order, sub.mask).nonzero()[0], in_core.nonzero()[0]
+        left = ~in_core[M[S[:, None], C]]  # [s, t]: s*t left the core
+        if left.any():
+            i, j = divmod(int(left.argmax()), len(C))
+            return False, True, f"{S[i]}*{C[j]} left the core"
+        reached = in_core[M[S[:, None], S]].any(0)  # [s]: t*s in the core for some t in S
+        if not reached.all():
+            return False, True, f"no multiple of {S[reached.argmin()]} lands in the core"
     return True, True, f"checked {len(ctx.denominator_sets)} denominator sets"
 
 

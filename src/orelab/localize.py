@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InternalInconsistency, NotDenominator
 from .oresets import MulSet, ass, check_semigroup, core, is_left_denominator, subset_of
 from .rings import (
@@ -74,8 +76,8 @@ class FractionRing:
             "order": self.ring.order,
             "zero": self.ring.zero,
             "one": self.ring.one,
-            "add": [list(row) for row in self.ring.add],
-            "mul": [list(row) for row in self.ring.mul],
+            "add": self.ring.np_add.tolist(),
+            "mul": self.ring.np_mul.tolist(),
             "sigma": list(self.sigma.table),
             "representatives": [list(p) for p in self.reps],
         }
@@ -116,7 +118,7 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
         raise NotDenominator(den.witness)
 
     n = ring.order
-    mul, add = ring.mul, ring.add
+    mul, add = ring.np_mul.tolist(), ring.np_add.tolist()  # the scalar loops below read lists
     s_list = sorted(elems.indices())
     pairs = [(s, r) for s in s_list for r in range(n)]  # pair (s_list[i], r) sits at i*n + r
     a = ass(ring, elems)
@@ -199,10 +201,13 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     for s in s_list:
         if sigma(s) not in fr_units:
             raise InternalInconsistency(f"denominator {s} is not invertible in the fractions")
-    fr_mul = fr_ring.mul
-    for (s, r), cls in pair_class.items():
-        if fr_mul[sigma(s)][cls] != sigma(r):
-            raise InternalInconsistency(f"s * (s^-1 r) failed to recover r at pair ({s}, {r})")
+    # pair i*n + r is (s_list[i], r); one gather checks every pair
+    sig = np.asarray(sigma_table)
+    classes = np.fromiter(pair_class.values(), dtype=np.intp, count=len(pairs))
+    missed = fr_ring.np_mul[sig[np.repeat(s_list, n)], classes] != np.tile(sig, len(s_list))
+    if missed.any():
+        s, r = pairs[int(missed.argmax())]
+        raise InternalInconsistency(f"s * (s^-1 r) failed to recover r at pair ({s}, {r})")
 
     return FractionRing(ring, elems, fr_ring, sigma, tuple(reps), pair_class)
 

@@ -18,7 +18,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import InternalInconsistency, NotDenominator, NotOre, ZeroAbsorbed
-from .rings import CarrierSubset, FiniteRing, is_two_sided_ideal, mask_members, members_mask, opposite
+from .rings import CarrierSubset, FiniteRing, is_two_sided_ideal, mask_members, members_mask
+from .rings import once, one_analysis, opposite
 
 __all__ = [
     "MulSet",
@@ -154,7 +155,8 @@ def mul_closure(ring: FiniteRing, generators: Iterable[int]) -> MulSet:
     for g in gens:
         if not 0 <= g < ring.order:
             raise ValueError(f"generator {g} outside carrier")
-    mul = ring.mul
+    mul = [None] * ring.order  # the members' rows, read as lists for the scalar BFS
+    mul[ring.one] = ring.np_mul[ring.one].tolist()
     members = [ring.one]
     seen = 1 << ring.one
     parents: dict[int, tuple[int, int]] = {}
@@ -174,6 +176,7 @@ def mul_closure(ring: FiniteRing, generators: Iterable[int]) -> MulSet:
             raise ZeroAbsorbed(chain_to(x) or [(x, ring.one, x)])
         seen |= 1 << x
         members.append(x)
+        mul[x] = ring.np_mul[x].tolist()
         for m in list(members):
             for a, b in ((x, m), (m, x)):
                 p = mul[a][b]
@@ -233,7 +236,7 @@ def is_left_denominator(ring_or_mulset, setlike=None) -> Verdict:
     with r*s = 0.
     """
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
-    ore = is_left_ore(ring, elems)
+    ore = once(is_left_ore, ring, elems)
     if not ore.holds:
         return ore
     S = _indices(ring, elems)
@@ -248,7 +251,7 @@ def is_left_denominator(ring_or_mulset, setlike=None) -> Verdict:
 def core(ring_or_mulset, setlike=None) -> CarrierSubset:
     """Elements of S whose left kernel is all of ass(S); needs left Ore."""
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
-    ore = is_left_ore(ring, elems)
+    ore = once(is_left_ore, ring, elems)
     if not ore.holds:
         raise NotOre(ore.witness)
     S = _indices(ring, elems)
@@ -275,7 +278,7 @@ def max_kernel_elements(ring_or_mulset, setlike=None) -> CarrierSubset:
         if is_max(k):
             out |= 1 << s
     result = CarrierSubset(ring.order, out)
-    if is_left_ore(ring, elems).holds:
+    if once(is_left_ore, ring, elems).holds:
         if result != core(ring, elems):
             raise InternalInconsistency(
                 f"max-kernel members {result} differ from core {core(ring, elems)}"
@@ -386,21 +389,22 @@ class OreReport:
 
 
 def ore_report(mulset: MulSet) -> OreReport:
-    """Run every one-set analysis and bundle the results."""
+    """Run every one-set analysis, under one memo, and bundle the results."""
     ring = mulset.ring
-    ore = is_left_ore(mulset)
-    den = is_left_denominator(mulset)
-    a = ass(mulset)
-    if a.mask & mulset.mask:
-        raise InternalInconsistency("a multiplicative set meets its own annihilator")
-    c = None
-    c_empty = None
-    if ore.holds:
-        c = core(mulset)
-        c_empty = len(c) == 0
-        if not c.issubset(mulset.elements):
-            raise InternalInconsistency("core escapes the set")
-        if den.holds and not is_two_sided_ideal(ring, a):
-            raise InternalInconsistency("ass of a denominator set is not an ideal")
-    sat = saturate(mulset) if den.holds else None
-    return OreReport(mulset, ore, den, a, c, c_empty, sat, denominator_sidedness(mulset))
+    with one_analysis():
+        ore = once(is_left_ore, ring, mulset.elements)
+        den = is_left_denominator(mulset)
+        a = ass(mulset)
+        if a.mask & mulset.mask:
+            raise InternalInconsistency("a multiplicative set meets its own annihilator")
+        c = None
+        c_empty = None
+        if ore.holds:
+            c = core(mulset)
+            c_empty = len(c) == 0
+            if not c.issubset(mulset.elements):
+                raise InternalInconsistency("core escapes the set")
+            if den.holds and not is_two_sided_ideal(ring, a):
+                raise InternalInconsistency("ass of a denominator set is not an ideal")
+        sat = saturate(mulset) if den.holds else None
+        return OreReport(mulset, ore, den, a, c, c_empty, sat, denominator_sidedness(mulset))

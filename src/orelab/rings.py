@@ -1,14 +1,17 @@
 """Finite unital rings presented by explicit operation tables.
 
-A ring lives on the carrier {0, ..., n-1}; ``add`` and ``mul`` are full
-n-by-n tables.  Construction always validates every unital-ring law and
-reports the first failure with a witness, so a ``FiniteRing`` that exists
-is a ring.  The check is a proof in O(n^2 log n): the laws in one or two
-variables are checked outright, and each law in three variables only for
-its middle variable b in a generating set G of (R, +), one n-by-n gather
-per g in G; G has at most log2(n) + 1 elements when (R, +) is a group.
-The b that pass form a set closed under +, so passing on G proves the
-law for every b:
+A ring lives on the carrier {0, ..., n-1}.  Its only tables are
+``np_add`` and ``np_mul``: full n-by-n read-only int64 arrays, copied
+from the caller's input once.  ``add`` and ``mul`` are a tuple view of
+them, built on first read, for readers outside the package; nothing in
+the package reads them.  Construction always validates every unital-ring
+law and reports the first failure with a witness, so a ``FiniteRing``
+that exists is a ring.  The check is a proof in O(n^2 log n): the laws
+in one or two variables are checked outright, and each law in three
+variables only for its middle variable b in a generating set G of
+(R, +), one n-by-n gather per g in G; G has at most log2(n) + 1
+elements when (R, +) is a group.  The b that pass form a set closed
+under +, so passing on G proves the law for every b:
 
 - add-associative, by Light's test: if b and b' pass, so does b + b';
 - left- and right-distributive, once + is associative;
@@ -17,7 +20,7 @@ law for every b:
 Subsets of the carrier are bitmask-backed ``CarrierSubset`` values; maps
 between rings are table-backed ``RingMap`` values validated as unital
 ring homomorphisms.  Quotient, product and opposite tables are built by
-gathers on the numpy tables ``np_add`` and ``np_mul``.
+gathers on ``np_add`` and ``np_mul``.
 """
 
 from __future__ import annotations
@@ -166,11 +169,21 @@ class CarrierSubset:
         return f"CarrierSubset(n={self.n}, {self})"
 
 
-def _as_table(t, n: int, what: str) -> tuple[tuple[int, ...], ...]:
-    rows = [tuple(map(int, row)) for row in (t.tolist() if isinstance(t, np.ndarray) else t)]
-    if len(rows) != n or any(len(r) != n for r in rows):
+def _table(t, n: int, what: str) -> np.ndarray:
+    """A C-contiguous read-only int64 copy of an n-by-n table given as lists,
+    tuples or an array.  An entry too large for int64 becomes -1, so the
+    closure check names it like any other entry outside the carrier."""
+    try:
+        a = np.array(t, dtype=np.int64, order="C")
+    except OverflowError:  # numpy finds the shape first, so t is not ragged here
+        big = np.array(t, dtype=object)
+        a = np.where((big > -1) & (big < n), big, -1).astype(np.int64)
+    except ValueError:  # ragged rows
+        raise ValueError(f"{what} table is not {n}x{n}") from None
+    if a.shape != (n, n):
         raise ValueError(f"{what} table is not {n}x{n}")
-    return tuple(rows)
+    a.setflags(write=False)
+    return a
 
 
 class FiniteRing:
@@ -178,8 +191,8 @@ class FiniteRing:
 
     def __init__(self, order, add, mul, zero, one, names: Sequence[str] | None = None):
         self.order = int(order)
-        self.add = _as_table(add, self.order, "add")
-        self.mul = _as_table(mul, self.order, "mul")
+        self.np_add = _table(add, self.order, "add")
+        self.np_mul = _table(mul, self.order, "mul")
         self.zero = int(zero)
         self.one = int(one)
         if not (0 <= self.zero < self.order and 0 <= self.one < self.order):
@@ -194,18 +207,6 @@ class FiniteRing:
         self._validate()
 
     # -- validation ---------------------------------------------------
-
-    @cached_property
-    def np_add(self) -> np.ndarray:
-        a = np.asarray(self.add, dtype=np.int64)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def np_mul(self) -> np.ndarray:
-        m = np.asarray(self.mul, dtype=np.int64)
-        m.setflags(write=False)
-        return m
 
     def _validate(self) -> None:
         """Raise AxiomViolation for the first failing law, in the order
@@ -265,27 +266,29 @@ class FiniteRing:
     # -- basic structure ----------------------------------------------
 
     @cached_property
-    def neg(self) -> tuple[int, ...]:
-        out = [0] * self.order
-        for x in range(self.order):
-            out[x] = self.add[x].index(self.zero)
-        return tuple(out)
+    def add(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.np_add.tolist()))
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.np_mul.tolist()))
 
     @property
     def elements(self) -> range:
         return range(self.order)
 
-    @cached_property
-    def structure_key(self) -> tuple:
-        # names are labels only; identity of a ring is its tables
-        return (self.order, self.zero, self.one, self.add, self.mul)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteRing) and self.structure_key == other.structure_key
+        # names are labels only; identity of a ring is its tables
+        return self is other or (
+            isinstance(other, FiniteRing)
+            and (self.order, self.zero, self.one) == (other.order, other.zero, other.one)
+            and np.array_equal(self.np_add, other.np_add)
+            and np.array_equal(self.np_mul, other.np_mul)
+        )
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self.structure_key)
+        return hash((self.order, self.zero, self.one, self.np_add.tobytes(), self.np_mul.tobytes()))
 
     def __hash__(self) -> int:
         return self._hash
@@ -447,7 +450,7 @@ def is_two_sided_ideal(ring: FiniteRing, sub: CarrierSubset) -> bool:
 
 
 def subgroup_sum(ring: FiniteRing, a: CarrierSubset, b: CarrierSubset) -> CarrierSubset:
-    """Pointwise sum A + B of two additive subgroups (again a subgroup)."""
+    """Pointwise sum A + B = {x + y}; a subgroup when A and B are."""
     n = ring.order
     members = np.zeros(n, dtype=bool)
     ia = mask_members(n, a.mask).nonzero()[0]
@@ -674,20 +677,11 @@ class RingMap:
             self.source.order, (x for x, v in enumerate(self.table) if v == z)
         )
 
-    def image_mask(self) -> int:
-        out = 0
-        for v in self.table:
-            out |= 1 << v
-        return out
-
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == self.source.order
-
     def is_surjective(self) -> bool:
         return len(set(self.table)) == self.target.order
 
     def is_bijective(self) -> bool:
-        return self.source.order == self.target.order and self.is_injective()
+        return self.source.order == self.target.order == len(set(self.table))
 
     def preimage(self, sub: CarrierSubset) -> CarrierSubset:
         """{x : f(x) in sub}."""
@@ -792,6 +786,20 @@ def radix_decode(radices: Sequence[int], x: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def radix_digits(radices: Sequence[int]) -> tuple[list[int], list[np.ndarray]]:
+    """The stride of each digit, and each digit of every number below
+    prod(radices), in the mixed radix of radix_encode."""
+    n = math.prod(radices)
+    strides = [math.prod(radices[i + 1 :]) for i in range(len(radices))]
+    return strides, [np.arange(n) // st % r for st, r in zip(strides, radices)]
+
+
+def digitwise_table(tables: Sequence[np.ndarray], strides: Sequence[int], digits) -> np.ndarray:
+    """The table that applies tables[i] to digit i: each entry is the sum
+    of the digit tables' entries, each at its stride."""
+    return sum(st * T[d[:, None], d] for T, st, d in zip(tables, strides, digits))
+
+
 def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> ProductRing:
     """Componentwise product; leftmost factor is the most significant digit."""
     if not factors:
@@ -803,11 +811,9 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
         raise SizeGuardExceeded("direct product", n, guards.order)
 
     radices = [f.order for f in factors]
-    strides = [math.prod(radices[i + 1 :]) for i in range(len(factors))]
-    digits = [np.arange(n) // st % f.order for st, f in zip(strides, factors)]
-    # a table entry is the sum of its factors' entries, each at its stride
-    add_t = sum(st * f.np_add[d[:, None], d] for st, f, d in zip(strides, factors, digits))
-    mul_t = sum(st * f.np_mul[d[:, None], d] for st, f, d in zip(strides, factors, digits))
+    strides, digits = radix_digits(radices)
+    add_t = digitwise_table([f.np_add for f in factors], strides, digits)
+    mul_t = digitwise_table([f.np_mul for f in factors], strides, digits)
     zero = radix_encode(radices, [f.zero for f in factors])
     one = radix_encode(radices, [f.one for f in factors])
     names = None
@@ -824,4 +830,4 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
 
 def opposite(ring: FiniteRing) -> FiniteRing:
     """Same carrier and addition, multiplication reversed; an involution."""
-    return FiniteRing(ring.order, ring.add, ring.np_mul.T, ring.zero, ring.one, ring.names)
+    return FiniteRing(ring.order, ring.np_add, ring.np_mul.T, ring.zero, ring.one, ring.names)

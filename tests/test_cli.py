@@ -273,3 +273,22 @@ def test_undecodable_ring_file_is_a_parse_error(tmp_path):
 def test_unknown_verb_and_missing_args():
     assert run(["frobnicate", "zmod(6)"], stdout=io.StringIO()) == 2
     assert run(["ore", "zmod(6)"], stdout=io.StringIO()) == 2  # --set required
+
+
+def test_check_axioms_oversized_entry(tmp_path, z4):
+    # an entry too large for int64 is refused like any entry outside the carrier
+    path = tmp_path / "oversized.ring"
+    save_ring_file(z4, str(path))
+    lines = path.read_text().splitlines()
+    row_at = lines.index("mul") + 2  # the row of 1
+    row = lines[row_at].split()
+    row[1] = "99999999999999999999999"
+    lines[row_at] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "orelab.cli", "check-axioms", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert "ring axiom 'closure' fails at ('mul', 1, 1)" in done.stdout
+    assert "Traceback" not in done.stderr

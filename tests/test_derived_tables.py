@@ -1,5 +1,5 @@
-"""Quotient, product and opposite tables, units and regular elements
-against loop references.
+"""Quotient, product, opposite and matrix-ring tables, units and regular
+elements against loop references.
 
 The references build each table entry by entry from the tuple tables, the
 way the constructions were first written; the library builds them by
@@ -8,7 +8,7 @@ numpy gathers.  Tables, names, maps and canonical hashes must agree.
 
 import pytest
 
-from orelab import DEFAULT_CATALOG, canonical_hash, construct, from_tables
+from orelab import DEFAULT_CATALOG, DEFAULT_GUARDS, canonical_hash, construct, from_tables
 from orelab.rings import (
     direct_product,
     opposite,
@@ -110,3 +110,64 @@ def test_units_and_regular_elements_match_loop_reference(catalog_rings):
         ]
         assert list(units(ring)) == unit
         assert list(regular_elements(ring)) == regular
+
+
+def _loop_matrix_ring(base, k, upper):
+    # one product entry at a time, in the tuple tables of the base ring
+    if upper:
+        positions = [(i, j) for i in range(k) for j in range(i, k)]
+    else:
+        positions = [(i, j) for i in range(k) for j in range(k)]
+    m = len(positions)
+    order = base.order**m
+    pos_index = {pq: t for t, pq in enumerate(positions)}
+    radices = [base.order] * m
+    mats = [radix_decode(radices, i) for i in range(order)]
+
+    def at(entries, i, j):
+        t = pos_index.get((i, j))
+        return entries[t] if t is not None else base.zero
+
+    badd, bmul = base.add, base.mul
+    add_t = [
+        [radix_encode(radices, [badd[x[t]][y[t]] for t in range(m)]) for y in mats] for x in mats
+    ]
+    mul_t = []
+    for x in mats:
+        row = []
+        for y in mats:
+            out = []
+            for (i, j) in positions:
+                acc = base.zero
+                for l in range(k):
+                    acc = badd[acc][bmul[at(x, i, l)][at(y, l, j)]]
+                out.append(acc)
+            row.append(radix_encode(radices, out))
+        mul_t.append(row)
+    zero = radix_encode(radices, [base.zero] * m)
+    one = radix_encode(radices, [base.one if i == j else base.zero for (i, j) in positions])
+
+    def mat_name(entries):
+        rows = []
+        for i in range(k):
+            rows.append("[" + ",".join(base.name_of(at(entries, i, j)) for j in range(k)) + "]")
+        return "[" + ",".join(rows) + "]"
+
+    return order, add_t, mul_t, zero, one, [mat_name(x) for x in mats]
+
+
+def test_matrix_rings_match_loop_reference():
+    checked = []
+    for base_spec in ("gf(2)", "gf(3)", "gf(4)", "zmod(4)"):
+        base = construct(base_spec)
+        for kind in ("matrix", "upper_triangular"):
+            upper = kind == "upper_triangular"
+            for k in (1, 2, 3):
+                m = k * (k + 1) // 2 if upper else k * k
+                if base.order**m > DEFAULT_GUARDS.order:
+                    continue
+                spec = f"{kind}({base_spec},{k})"
+                _same_ring(construct(spec), *_loop_matrix_ring(base, k, upper))
+                checked.append(spec)
+    assert len(checked) == 17
+    assert "matrix(gf(4),2)" in checked and "upper_triangular(gf(2),3)" in checked

@@ -4,7 +4,7 @@ import io
 import sys
 
 from orelab import construct, localization_profile, run_laws
-from orelab import localize, rings
+from orelab import localize, oresets, rings
 from orelab.cli import run
 
 
@@ -24,7 +24,7 @@ def _record_fraction_rings(monkeypatch) -> list:
 
     def recording(ring, dens):
         fr = original(ring, dens)
-        built.append((ring.structure_key, ring.names, fr.dens.mask))
+        built.append(((ring.order, ring.zero, ring.one, ring.add, ring.mul), ring.names, fr.dens.mask))
         return fr
 
     _patch_everywhere(monkeypatch, original, recording)
@@ -83,3 +83,22 @@ def test_info_walks_the_lattice_once(monkeypatch):
     _patch_everywhere(monkeypatch, original, counting)
     assert run(["info", "zmod(12)"], stdout=io.StringIO()) == 0
     assert walks == [12]
+
+
+def test_ore_report_runs_the_ore_test_once_per_ring(monkeypatch):
+    original = oresets.is_left_ore
+    calls = []
+
+    def counting(ring_or_mulset, setlike=None):
+        calls.append(ring_or_mulset)
+        return original(ring_or_mulset, setlike)
+
+    _patch_everywhere(monkeypatch, original, counting)
+    z64 = construct("zmod(64)")
+    oresets.ore_report(oresets.MulSet(z64, rings.units(z64)))
+    assert len(calls) == 1  # zmod(64) is its own opposite
+    t2f2 = construct("upper_triangular(gf(2),2)")
+    calls.clear()
+    report = oresets.ore_report(oresets.MulSet(t2f2, rings.units(t2f2)))
+    assert report.sidedness == "two-sided"
+    assert 1 <= len(calls) <= 2  # the ring and its opposite

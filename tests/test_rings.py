@@ -38,7 +38,7 @@ def test_zmod_tables(z6):
     assert z6.add[4][5] == 3
     assert z6.mul[4][5] == 2
     assert z6.one == 1 and z6.zero == 0
-    assert z6.neg[2] == 4
+    assert z6.np_add[2, 4] == z6.zero
 
 
 def test_axiom_violation_reports_first_witness():
@@ -282,3 +282,74 @@ def test_numpy_table_views(z6):
     assert isinstance(z6.np_add, np.ndarray)
     assert z6.np_add[4, 5] == 3
     assert z6.np_mul.dtype.kind == "i"
+
+
+def _t2f2_tables():
+    ring = construct("upper_triangular(gf(2),2)")
+    return ring, [list(row) for row in ring.add], [list(row) for row in ring.mul]
+
+
+def test_one_representation_from_any_input():
+    ring, add, mul = _t2f2_tables()
+    args = (ring.zero, ring.one)
+    built = [
+        from_tables(8, add, mul, *args),
+        from_tables(8, tuple(map(tuple, add)), tuple(map(tuple, mul)), *args),
+        from_tables(8, np.array(add), np.array(mul, dtype=np.int32), *args),
+        # column-major views, like the transpose that opposite passes
+        from_tables(8, np.array(add).T, np.array(mul).T.copy().T, *args),
+    ]
+    for r in built:
+        assert r == ring and hash(r) == hash(ring)
+        assert r.add == ring.add and r.mul == ring.mul
+        assert r.np_add.dtype == np.int64 and r.np_add.flags.c_contiguous
+        assert r.np_mul.flags.c_contiguous
+    assert opposite(ring).np_mul.flags.c_contiguous
+    assert opposite(ring) != ring
+    assert opposite(opposite(ring)) == ring
+
+
+def test_ring_copies_its_tables_and_keeps_them_read_only():
+    ring, add, mul = _t2f2_tables()
+    a, m = np.array(add), np.array(mul)
+    r = from_tables(8, a, m, ring.zero, ring.one)
+    a[:] = 0
+    m[1, 1] = 5
+    assert r == ring and r.add == ring.add and r.mul == ring.mul
+    with pytest.raises(ValueError):
+        r.np_add[0, 0] = 1
+    with pytest.raises(ValueError):
+        r.np_mul[1, 1] = 0
+
+
+def test_ragged_table_keeps_its_value_error():
+    ring, add, mul = _t2f2_tables()
+    with pytest.raises(ValueError, match="add table is not 8x8"):
+        from_tables(8, add[:-1] + [add[-1][:-1]], mul, ring.zero, ring.one)
+    with pytest.raises(ValueError, match="mul table is not 8x8"):
+        from_tables(8, add, mul[:-1], ring.zero, ring.one)
+    with pytest.raises(ValueError, match="add table is not 2x2"):
+        from_tables(2, [2**70, 1], [[0, 0], [0, 1]], 0, 1)
+
+
+def test_oversized_entry_is_a_closure_violation():
+    add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    mul = [[(a * b) % 4 for b in range(4)] for a in range(4)]
+    for big in (2**70, -(2**70), 99999999999999999999999):
+        bad = [row[:] for row in mul]
+        bad[1][2] = big
+        with pytest.raises(AxiomViolation) as exc:
+            from_tables(4, add, bad, 0, 1)
+        assert exc.value.law == "closure" and exc.value.witness == ("mul", 1, 2)
+    # witnesses keep their order: add before mul, then row-major
+    bad_add = [row[:] for row in add]
+    bad_add[3][3] = 9
+    bad_mul = [row[:] for row in mul]
+    bad_mul[0][0] = 2**70
+    with pytest.raises(AxiomViolation) as exc:
+        from_tables(4, bad_add, bad_mul, 0, 1)
+    assert exc.value.witness == ("add", 3, 3)
+    bad_mul[0][1] = 2**70
+    with pytest.raises(AxiomViolation) as exc:
+        from_tables(4, add, bad_mul, 0, 1)
+    assert exc.value.witness == ("mul", 0, 0)
