@@ -2,13 +2,17 @@
 
 The construction is the textbook one: pairs (s, r) standing for s^-1 r,
 identified when c*s = d*t lands in the denominator set with c*r = d*q.
-One union-find over the pairs finds the classes from two kinds of edges
-of that relation.  Within a row, (s, r) ~ (s, r + g) for g in ass(S):
-some t in S has t*g = 0, so both pairs meet at (t*s, t*r).  Across rows,
-one left Ore witness s1*s0 = r1*s per s ties row s and the least row s0
-to row r1*s, each by an edge (s, r) ~ (c*s, c*r) with c*s in S.  The
-tables are then certified by the characterization of S^-1 R: a ring A
-with a unital map sigma: R -> A is the left localization at S exactly
+It runs as numpy gathers on np_mul and np_add.  Two witness tables per
+denominator, the mask of R*s and the least r with r*s = v, give the least
+left Ore witness for whole arrays of (s, t) at once.  The classes come
+from label propagation over two kinds of edges of the relation: within a
+row, (s, r) ~ (s, r + g) for g in ass(S), which the starting labels (the
+least element of each coset of ass(S)) already hold; across rows, one
+Ore witness s1*s0 = r1*s per s ties row s and the least row s0 to row
+r1*s, each by an edge (s, r) ~ (c*s, c*r) with c*s in S.  pair_class is
+an array indexed by row(s)*n + r, and each table is one gather on it.
+The tables are then certified by the characterization of S^-1 R: a ring
+A with a unital map sigma: R -> A is the left localization at S exactly
 when sigma(S) lies in the units of A, ker sigma = ass(S), and every
 element of A is sigma(s)^-1 sigma(r).  Every pair is checked against the
 last condition, at every ring order.  The construction never peeks at
@@ -50,8 +54,10 @@ __all__ = [
 class FractionRing:
     """S^-1 R together with its bookkeeping.
 
-    reps[i] is the minimal (s, r) pair of class i under (s, r) order;
-    sigma is the canonical map r |-> 1-over-s * (s r).
+    reps[i] is the least (s, r) pair of class i under (s, r) order; sigma
+    is the canonical map r |-> 1-over-s * (s r).  pair_class is a read-only
+    int array of length |S|*n: entry row(s)*n + r is the class of (s, r),
+    where row(s) is the position of s in S sorted.
     """
 
     base: FiniteRing
@@ -59,13 +65,13 @@ class FractionRing:
     ring: FiniteRing
     sigma: RingMap
     reps: tuple[tuple[int, int], ...]
-    pair_class: dict = field(repr=False)
+    pair_class: np.ndarray = field(repr=False)
 
     def class_of(self, s: int, r: int) -> int:
-        try:
-            return self.pair_class[(s, r)]
-        except KeyError:
+        if s not in self.dens or not 0 <= r < self.base.order:
             raise ValueError(f"({s}, {r}) is not a denominator pair of this fraction ring")
+        row = (self.dens.mask & ((1 << s) - 1)).bit_count()
+        return int(self.pair_class[row * self.base.order + r])
 
     def to_doc(self) -> dict:
         from .catalog import canonical_hash
@@ -90,26 +96,33 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     without one is accepted as long as it is zero-free and closed, which
     is what cores of denominator sets look like.
 
-    The pairs are classed by one union-find over the |S|*n pairs with
-    O(|S|*n) joins, each a true edge of the Ore relation:
+    Every step is a gather on np_mul and np_add.  With S sorted and row i
+    holding the pairs (S[i], r) at index i*n + r:
 
-    - within a row, (s, r) ~ (s, r + g) for g in ass(S).  Some t in S has
-      t*g = 0, so (s, r) ~ (t*s, t*r) = (t*s, t*(r + g)) ~ (s, r + g).
-      The union-find starts with each (s, r) hung under (s, m), m the
-      least element of the coset r + ass(S), so s^-1 r = s^-1 r' exactly
-      when r - r' lies in ass(S), with no join at all.
-    - across rows, with s0 the least denominator and one left Ore witness
-      s1*s0 = r1*s (s1 in S), row s joins row r1*s by r |-> r1*r and row
-      s0 joins the same row by r |-> s1*r: both are (s, r) ~ (c*s, c*r)
-      with c*s in S.  sigma(r1) and sigma(s1) are units, so each map
-      meets every class of the target row, and every row meets row s0.
+    - witness tables: Rs[i] is the mask of R*S[i] and pre[i, v] the least r
+      with r*S[i] == v.  The least left Ore witness w*t == r'*S[i] (w in
+      S) is then the first hit of Rs[i] along the row M[S, t], and
+      r' = pre[i, w*t], elementwise for whole arrays of (i, t).
+    - classing: each pair starts labelled by the least pair of its coset
+      r + ass(S) in its row.  Some t in S has t*g = 0 for g in ass(S), so
+      (s, r) ~ (t*s, t*r) = (t*s, t*(r + g)) ~ (s, r + g).  With s0 = S[0]
+      and one witness s1*s0 = r1*s per row, row s is joined to row r1*s
+      by r |-> r1*r and row s0 to the same row by r |-> s1*r: both are
+      (s, r) ~ (c*s, c*r) with c*s in S, and sigma(r1), sigma(s1) are
+      units, so each map meets every class of the target row.  Labels
+      spread along these 2*|S|*n edges by hooking the larger root under
+      the smaller and pointer jumping, until every edge sits in one class.
+      Every root is then the least pair of its class; classes are
+      numbered by it, and pair_class is indexed by row(s)*n + r.
+    - tables: the witnesses are found once per anchor pair for + and once
+      per (anchor, numerator) for *, then each table is one gather on
+      pair_class.
 
-    Classes are numbered by their least pair.  The result is then
-    certified by the characterization of S^-1 R, which pins it down at
-    every order: the tables form a ring, sigma is a unital homomorphism
-    sending S into the units with kernel ass(S), there are exactly
-    n/|ass(S)| classes, and sigma(s) * [s, r] == sigma(r) for every pair
-    (s, r); a missing join fails the class count.
+    The result is certified by the characterization of S^-1 R, which pins
+    it down at every order: the tables form a ring, sigma is a unital
+    homomorphism sending S into the units with kernel ass(S), there are
+    exactly n/|ass(S)| classes, and sigma(s) * [s, r] == sigma(r) for every
+    pair (s, r); a missing join fails the class count.
     """
     elems = subset_of(ring, dens)
     check_semigroup(ring, elems)
@@ -117,75 +130,64 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     if not den.holds:
         raise NotDenominator(den.witness)
 
-    n = ring.order
-    mul, add = ring.np_mul.tolist(), ring.np_add.tolist()  # the scalar loops below read lists
-    s_list = sorted(elems.indices())
-    pairs = [(s, r) for s in s_list for r in range(n)]  # pair (s_list[i], r) sits at i*n + r
-    a = ass(ring, elems)
+    n, A, M = ring.order, ring.np_add, ring.np_mul
+    S = np.array(elems.indices(), dtype=np.intp)
+    m, a = len(S), ass(ring, elems)
+    row_of = np.zeros(n, dtype=np.intp)
+    row_of[S] = np.arange(m)
 
-    # by_value[s][v] = all r' with r'*s == v, for witness searches
-    by_value: dict[int, dict[int, list[int]]] = {s: {} for s in s_list}
-    for s in s_list:
-        for rp in range(n):
-            by_value[s].setdefault(mul[rp][s], []).append(rp)
+    # Rs[i] = mask of R*S[i]; pre[i, v] = least r with r*S[i] == v
+    at = (np.arange(m), M[:, S])
+    Rs = np.zeros((m, n), dtype=bool)
+    Rs[at] = True
+    pre = np.full((m, n), n, dtype=np.intp)
+    np.minimum.at(pre, at, np.arange(n)[:, None])
 
-    def first_witness(anchor: int, through: int):
-        # smallest (w, r') in S x R with w*through == r'*anchor
-        lookup = by_value[anchor]
-        for w in s_list:
-            cands = lookup.get(mul[w][through])
-            if cands:
-                return w, cands[0]
-        raise InternalInconsistency("left Ore witness vanished during table build")
+    def witness(anchor, through):
+        # elementwise the least (w, r') in S x R with w*through == r'*S[anchor]
+        hit = Rs[anchor[..., None], M[S, through[..., None]]]
+        if not hit.any(-1).all():
+            raise InternalInconsistency("left Ore witness vanished during table build")
+        w = S[hit.argmax(-1)]
+        return w, pre[anchor, M[w, through]]
 
-    # union-find over the pairs, started from the cosets of ass(S) in each
-    # row; a merge hangs the larger root under the smaller, so every root
-    # is the least pair of its class
-    index = {s: i * n for i, s in enumerate(s_list)}
-    coset_min = ring.np_add[:, list(a)].min(1).tolist()
-    parent = [i + m for i in index.values() for m in coset_min]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def join(at: int, to: int, image) -> None:
-        # (row at, r) ~ (row to, image[r]) for every r
-        for r, v in enumerate(image):
-            x, y = find(at + r), find(to + v)
-            if x != y:
-                parent[max(x, y)] = min(x, y)
-
-    s0 = s_list[0]
-    for s in s_list:
-        s1, r1 = first_witness(s, s0)  # s1*s0 == r1*s lies in S
-        t = index[mul[s1][s0]]
-        join(index[s], t, mul[r1])
-        join(index[s0], t, mul[s1])
-    roots = sorted({find(p) for p in range(len(pairs))})
-    number = {root: i for i, root in enumerate(roots)}
-    reps = [pairs[root] for root in roots]
-    pair_class = {p: number[find(i)] for i, p in enumerate(pairs)}
-    k = len(reps)
-
+    labels = (np.arange(0, m * n, n)[:, None] + A[:, a.indices()].min(1)).ravel()
+    s1, r1 = witness(np.arange(m), S[:1])  # s1*s0 == r1*s lies in S
+    to = row_of[M[s1, S[0]]][:, None] * n
+    src = np.concatenate([np.arange(m * n), np.tile(np.arange(n), m)])
+    dst = np.concatenate([(to + M[r1]).ravel(), (to + M[s1]).ravel()])
+    # labels only fall: hook each split edge's larger root under the smaller, then jump to roots
+    while True:
+        lu, lv = labels[src], labels[dst]
+        split = lu != lv
+        if not split.any():
+            break
+        np.minimum.at(labels, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    is_root = labels == np.arange(m * n)
+    pair_class = (np.cumsum(is_root) - 1)[labels]
+    pair_class.setflags(write=False)
+    roots = np.flatnonzero(is_root)
+    k = len(roots)
     if k * len(a) != n:
         raise InternalInconsistency(
             f"{k} pair classes, but R/ass(S) has {n // len(a)} elements"
         )
 
-    add_table = [[0] * k for _ in range(k)]
-    mul_table = [[0] * k for _ in range(k)]
-    for i, (s, r) in enumerate(reps):
-        for j, (t, q) in enumerate(reps):
-            # s^-1 r + t^-1 q = (s1 t)^-1 (r1 r + s1 q) whenever s1 t = r1 s
-            s1, r1 = first_witness(s, t)
-            add_table[i][j] = pair_class[(mul[s1][t], add[mul[r1][r]][mul[s1][q]])]
-            # s^-1 r * t^-1 q = (t1 s)^-1 (r2 q) whenever t1 r = r2 t
-            t1, r2 = first_witness(t, r)
-            mul_table[i][j] = pair_class[(mul[t1][s], mul[r2][q])]
+    rows, nums = np.divmod(roots, n)  # reps[i] is (S[rows[i]], nums[i])
+    anchors, ai = np.unique(rows, return_inverse=True)
+    numerators, ni = np.unique(nums, return_inverse=True)
+    s, r, t, q = S[rows][:, None], nums[:, None], S[rows], nums
+    # s^-1 r + t^-1 q = (s1 t)^-1 (r1 r + s1 q) whenever s1 t = r1 s
+    s1, r1 = (x[ai[:, None], ai] for x in witness(anchors[:, None], S[anchors]))
+    add_table = pair_class[row_of[M[s1, t]] * n + A[M[r1, r], M[s1, q]]]
+    # s^-1 r * t^-1 q = (t1 s)^-1 (r2 q) whenever t1 r = r2 t
+    t1, r2 = (x[ai, ni[:, None]] for x in witness(anchors[:, None], numerators))
+    mul_table = pair_class[row_of[M[t1, s]] * n + M[r2, q]]
 
-    sigma_table = tuple(pair_class[(s0, mul[s0][x])] for x in range(n))
+    sigma_table = pair_class[M[S[0]]]  # row s0 is row 0
+    reps = tuple(zip(S[rows].tolist(), nums.tolist()))
     names = tuple(f"{s}\\{r}" for s, r in reps)
     fr_ring = FiniteRing(
         k, add_table, mul_table, sigma_table[ring.zero], sigma_table[ring.one], names
@@ -198,18 +200,16 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     if sigma.kernel() != a:
         raise InternalInconsistency("kernel of the canonical map differs from ass(S)")
     fr_units = units(fr_ring)
-    for s in s_list:
+    for s in S.tolist():
         if sigma(s) not in fr_units:
             raise InternalInconsistency(f"denominator {s} is not invertible in the fractions")
-    # pair i*n + r is (s_list[i], r); one gather checks every pair
-    sig = np.asarray(sigma_table)
-    classes = np.fromiter(pair_class.values(), dtype=np.intp, count=len(pairs))
-    missed = fr_ring.np_mul[sig[np.repeat(s_list, n)], classes] != np.tile(sig, len(s_list))
+    # one gather checks every pair
+    missed = fr_ring.np_mul[sigma_table[np.repeat(S, n)], pair_class] != np.tile(sigma_table, m)
     if missed.any():
-        s, r = pairs[int(missed.argmax())]
-        raise InternalInconsistency(f"s * (s^-1 r) failed to recover r at pair ({s}, {r})")
+        i, r = divmod(int(missed.argmax()), n)
+        raise InternalInconsistency(f"s * (s^-1 r) failed to recover r at pair ({S[i]}, {r})")
 
-    return FractionRing(ring, elems, fr_ring, sigma, tuple(reps), pair_class)
+    return FractionRing(ring, elems, fr_ring, sigma, reps, pair_class)
 
 
 def quotient_model_isomorphism(fr: FractionRing) -> RingMap:

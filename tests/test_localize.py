@@ -39,6 +39,10 @@ def test_class_of_rejects_non_pairs(z6):
     fr = build_fraction_ring(z6, MulSet(z6, [1, 3]))
     with pytest.raises(ValueError):
         fr.class_of(2, 1)  # 2 is not in the denominator set
+    # an array index would wrap these round to other pairs
+    for s, r in ((1, -1), (1, 6), (-1, 1)):
+        with pytest.raises(ValueError):
+            fr.class_of(s, r)
 
 
 def test_fraction_ring_inverts_exactly_the_set(z6):
@@ -91,7 +95,7 @@ def test_fraction_ring_t2f2(t2f2):
     assert canonical_hash(fr.ring) == canonical_hash(construct("gf(2)"))
 
 
-def test_larger_ring_uses_sampled_witness_checks(z12):
+def test_larger_ring_is_checked_on_every_pair(z12):
     # the certificate has no order cutoff: a build above order 8 is
     # checked on every pair, exactly as a small one
     fr = build_fraction_ring(z12, MulSet(z12, [1, 5, 7, 11]))
@@ -133,12 +137,15 @@ def _ore_related(ring, dens):
 def _assert_classes_match_definition(ring, dens):
     fr = build_fraction_ring(ring, dens)
     related = _ore_related(ring, fr.dens)
-    assert set(fr.pair_class) == {p for p, _ in related}
+    pairs = sorted({p for p, _ in related})
+    # pair_class holds every pair, (s, r) at row(s)*n + r
+    pair_class = {p: fr.class_of(*p) for p in pairs}
+    assert list(pair_class.values()) == fr.pair_class.tolist()
     for (p, q), rel in related.items():
-        assert (fr.pair_class[p] == fr.pair_class[q]) == rel, (sorted(fr.dens), p, q)
+        assert (pair_class[p] == pair_class[q]) == rel, (sorted(fr.dens), p, q)
     # classes are numbered by their least pair
     least = {}
-    for p, cls in fr.pair_class.items():
+    for p, cls in pair_class.items():
         least[cls] = min(least.get(cls, p), p)
     assert [least[i] for i in range(len(fr.reps))] == list(fr.reps) == sorted(fr.reps)
 
@@ -168,7 +175,7 @@ def _assert_classes_match_quotient(ring, dens):
     for s in dens:
         assert proj(s) in q_units
         for r in range(ring.order):
-            cls = fr.pair_class[(s, r)]
+            cls = fr.class_of(s, r)
             value = q.mul[inverse[proj(s)]][proj(r)]
             assert value_of_class.setdefault(cls, value) == value, (s, r)
             assert class_of_value.setdefault(value, cls) == cls, (s, r)
