@@ -17,10 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DEFAULT_GUARDS, Guards, NotDenominator, SizeGuardExceeded, ZeroAbsorbed
+from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, NotDenominator, SizeGuardExceeded, ZeroAbsorbed
 from .localize import build_fraction_ring, core_transfer_isomorphism, largest_left_quotient, quotient_model_isomorphism
 from .maxden import (
-    _ROUTE_QUOTIENT,
     brute_force_denominator_sets,
     closed_unital_subsets,
     is_localization_maximal,
@@ -641,9 +640,8 @@ def _check_four_way_localizability(ctx: LawContext):
     # and raises InternalInconsistency when the routes that ran disagree
     verdict = ctx.profile.verdict
     if verdict.partial:
-        # report the skipped quotient route before the Goldie route
-        first = min((r for r in verdict.routes if not r.ran), key=lambda r: r.name != _ROUTE_QUOTIENT)
-        return True, False, first.detail
+        # only the Goldie route can be skipped
+        return True, False, next(r.detail for r in verdict.routes if not r.ran)
     return True, True, f"all four statements are {verdict.localizable} (classical and largest quotients coincide here)"
 
 
@@ -693,8 +691,11 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
     ring = ctx.ring
     if not once(is_semiprime, ring, ctx.guards):
         return True, False, "target is not semiprime"
-    lq = ctx.lq
-    dec = once(product_decomposition, lq.ring, ctx.guards)
+    # sigma: R -> Q_l(R) is checked bijective, so it is a ring isomorphism
+    # and R's own splitting is that of Q_l(R), read through sigma
+    if not ctx.lq.fractions.sigma.is_bijective():
+        raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
+    dec = once(product_decomposition, ring, ctx.guards)
     if not dec.succeeded:
         return False, True, "quotient of a semiprime ring does not split"
     for idx, f in enumerate(dec.factors):
@@ -706,10 +707,9 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
         if u.mask | s.mask != s.mask:
             return False, True, "a regular element escapes a maximal set"
 
-    comp = dec.iso.compose(lq.fractions.sigma)
     prod = direct_product(*dec.factors, guards=ctx.guards)
     pullbacks = {
-        comp.preimage(proj.preimage(units(f))).mask: i
+        dec.iso.preimage(proj.preimage(units(f))).mask: i
         for i, (proj, f) in enumerate(zip(prod.projections, dec.factors))
     }
     if set(pullbacks) != {s.mask for _, s, _ in ctx.entries}:
@@ -718,7 +718,7 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
     for a, s, fr in ctx.entries:
         i = pullbacks[s.mask]
         try:
-            m = induced_map(fr.sigma, prod.projections[i].compose(comp))
+            m = induced_map(fr.sigma, prod.projections[i].compose(dec.iso))
         except ValueError as e:
             return False, True, f"comparison with simple factor {i} fails: {e}"
         if not m.is_bijective():

@@ -376,7 +376,17 @@ _ROUTE_QUOTIENT = "largest-quotient-splits-into-division-rings"
 def localization_profile(
     ring: FiniteRing, guards: Guards = DEFAULT_GUARDS
 ) -> LocalizationProfile:
-    """Full left-localization analysis of one ring."""
+    """Full left-localization analysis of one ring.
+
+    Localizability is decided along four routes that must agree: every
+    nonzero element localizable; zero radical with division maximal
+    localizations; semiprime with matching uniform dimension (Goldie);
+    and the largest left quotient ring Q_l(R) a finite product of division
+    rings.  On a finite ring the canonical map sigma: R -> Q_l(R) is
+    checked bijective, hence a ring isomorphism, so the last route reads
+    R's own splitting: whether a ring splits, and into division rings, is
+    invariant under isomorphism.
+    """
     with one_analysis():
         family = once(saturated_denominator_sets, ring, guards)
         entries = _maximal_entries(family)
@@ -444,20 +454,21 @@ def localization_profile(
         except SizeGuardExceeded as e:
             routes.append(RouteResult(_ROUTE_GOLDIE, False, None, f"skipped: {e}"))
 
-        try:
-            lq = once(largest_left_quotient, ring)
-            dec_q = once(product_decomposition, lq.ring, guards)
-            v4 = dec_q.succeeded and all(dec_q.factor_division)
-            if v4:
-                d4 = ""
-            elif not dec_q.succeeded:
-                failed = next(c for c in dec_q.conditions if not c.holds)
-                d4 = f"splitting fails: {failed.name}"
-            else:
-                d4 = "a split factor is not a division ring"
-            routes.append(RouteResult(_ROUTE_QUOTIENT, True, v4, d4))
-        except SizeGuardExceeded as e:
-            routes.append(RouteResult(_ROUTE_QUOTIENT, False, None, f"skipped: {e}"))
+        # route 4 reads Q_l(R)'s splitting off R's through the checked sigma,
+        # and that splitting is the profile's decomposition.  No guard can
+        # trip here: guards bound orders, and R's order passed them above.
+        if not once(largest_left_quotient, ring).fractions.sigma.is_bijective():
+            raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
+        dec = once(product_decomposition, ring, guards)
+        v4 = dec.succeeded and all(dec.factor_division)
+        if v4:
+            d4 = ""
+        elif not dec.succeeded:
+            failed = next(c for c in dec.conditions if not c.holds)
+            d4 = f"splitting fails: {failed.name}"
+        else:
+            d4 = "a split factor is not a division ring"
+        routes.append(RouteResult(_ROUTE_QUOTIENT, True, v4, d4))
 
         values = {r.value for r in routes if r.ran}
         if len(values) > 1:
@@ -467,8 +478,6 @@ def localization_profile(
             )
         partial = not all(r.ran for r in routes)
         verdict = LocalizabilityVerdict(values.pop() if values else None, partial, tuple(routes))
-
-        dec = once(product_decomposition, ring, guards)
 
         return LocalizationProfile(
             ring,

@@ -1,10 +1,16 @@
 """Saturated families, maximal denominator sets, profiles, splittings."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
+from test_ideal_reference import _relabelled
 
 from orelab import (
+    DEFAULT_CATALOG,
     CarrierSubset,
     Guards,
+    InternalInconsistency,
     SizeGuardExceeded,
     brute_force_denominator_sets,
     construct,
@@ -14,9 +20,11 @@ from orelab import (
     localization_profile,
     max_den,
     product_decomposition,
+    quotient,
     saturated_denominator_sets,
     sided_profiles,
 )
+from orelab import localize
 
 WIDE_GUARDS = Guards(order=256, left_ideals=64, brute_force=16)
 
@@ -173,3 +181,53 @@ def test_splitting_condition_names_the_rings_own_elements(t2f2):
     dec = localization_profile(t2f2).decomposition
     detail = {c.name: c.detail for c in dec.conditions}["zero-localization-radical"]
     assert detail == "radical = {[[0,0],[0,0]], [[0,1],[0,0]], [[1,0],[0,0]], [[1,1],[0,0]]}"
+
+
+def _profile_back(prof, perm):
+    """What a profile says, with elements mapped back through perm (old -> new)
+    and every list whose order follows element labels made a set."""
+    inv = {new: old for old, new in enumerate(perm)}
+
+    def back(sub):
+        return frozenset(inv[x] for x in sub)
+
+    dec = prof.decomposition
+    return {
+        "saturated": {(back(a), back(s)) for a, s in prof.saturated},
+        "maximal": {(back(a), back(s)) for a, s in zip(prof.maximal_ass, prof.maximal)},
+        "classes": tuple(
+            back(x)
+            for x in (prof.radical, prof.localizable, prof.completely_localizable, prof.non_localizable)
+        ),
+        "routes": [(r.name, r.ran, r.value) for r in prof.verdict.routes],
+        "decomposition": (
+            dec.succeeded,
+            dec.n_factors,
+            [(c.name, c.holds) for c in dec.conditions],
+            sorted(zip((f.order for f in dec.factors or ()), dec.factor_division or ())),
+        ),
+    }
+
+
+def test_profiles_do_not_change_under_relabelling(catalog_rings, catalog_profiles):
+    # route 4 reads the ring's own splitting, so no route sees a relabelled
+    # copy of the ring any more; relabelling is checked here instead
+    for spec in DEFAULT_CATALOG:
+        ring = catalog_rings[spec]
+        want = _profile_back(catalog_profiles[spec], range(ring.order))
+        for seed in (1, 2):
+            perm = list(range(ring.order))
+            random.Random(seed).shuffle(perm)  # the permutation _relabelled draws
+            prof = localization_profile(_relabelled(ring, random.Random(seed)))
+            assert _profile_back(prof, perm) == want, f"{spec}: relabelling {seed} changes the profile"
+
+
+def test_route_4_refuses_a_sigma_that_is_not_bijective(monkeypatch, z6):
+    original = localize.largest_left_quotient
+    _, proj = quotient(z6, CarrierSubset.from_indices(6, [0, 3]))  # a ring map, not onto a copy of z6
+    bad = SimpleNamespace(fractions=SimpleNamespace(sigma=proj))
+    monkeypatch.setattr(
+        localize, "largest_left_quotient", lambda ring: bad if ring is z6 else original(ring)
+    )
+    with pytest.raises(InternalInconsistency, match="largest quotient"):
+        localization_profile(z6)

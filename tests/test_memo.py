@@ -3,8 +3,8 @@
 import io
 import sys
 
-from orelab import construct, localization_profile, run_laws
-from orelab import localize, oresets, rings
+from orelab import construct, largest_left_quotient, localization_profile, run_laws
+from orelab import localize, maxden, oresets, rings
 from orelab.cli import run
 
 
@@ -49,6 +49,25 @@ def test_each_fraction_ring_is_built_once_per_law_run(monkeypatch):
         built.clear()
         run_laws(construct(spec))
         assert len(set(built)) == len(built), f"{spec}: a fraction ring was built twice"
+
+
+def test_profile_splits_the_ring_once_and_never_its_quotient_ring(monkeypatch, catalog_rings):
+    calls = []
+    for fn in (maxden.product_decomposition, maxden.saturated_denominator_sets):
+
+        def recording(ring, guards=rings.DEFAULT_GUARDS, fn=fn):
+            calls.append((fn.__name__, ring))
+            return fn(ring, guards)
+
+        _patch_everywhere(monkeypatch, fn, recording)
+    for spec, ring in catalog_rings.items():
+        q = largest_left_quotient(ring).ring
+        calls.clear()
+        localization_profile(ring)
+        splits = [r for name, r in calls if name == "product_decomposition"]
+        assert len(splits) == 1 and splits[0] is ring, f"{spec}: the ring was not split exactly once"
+        on_q = [name for name, r in calls if r == q and r.names == q.names]
+        assert not on_q, f"{spec}: {on_q} ran on the largest quotient ring"
 
 
 _SPY_CALLS = []
