@@ -14,10 +14,14 @@ an array indexed by row(s)*n + r, and each table is one gather on it.
 The tables are then certified by the characterization of S^-1 R: a ring
 A with a unital map sigma: R -> A is the left localization at S exactly
 when sigma(S) lies in the units of A, ker sigma = ass(S), and every
-element of A is sigma(s)^-1 sigma(r).  Every pair is checked against the
-last condition, at every ring order.  The construction never peeks at
-the quotient-by-annihilator shortcut; that model is a separate oracle
-(``quotient_model_isomorphism``) used to cross-check the result.
+element of A is sigma(s)^-1 sigma(r).  On a finite ring S^-1 R is
+R/ass(S), so sigma is onto, and checking that sigma is an onto unital
+homomorphism with sigma(0) != sigma(1) proves that the tables form a ring
+(``rings._image_ring``); Light's test is not run on them.  Every pair is
+checked against the last condition, at every ring order.  The
+construction never peeks at the quotient-by-annihilator shortcut; that
+model is a separate oracle (``quotient_model_isomorphism``) used to
+cross-check the result.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .rings import (
     CarrierSubset,
     FiniteRing,
     RingMap,
+    _image_ring,
     induced_map,
     once,
     quotient,
@@ -119,10 +124,11 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
       pair_class.
 
     The result is certified by the characterization of S^-1 R, which pins
-    it down at every order: the tables form a ring, sigma is a unital
-    homomorphism sending S into the units with kernel ass(S), there are
-    exactly n/|ass(S)| classes, and sigma(s) * [s, r] == sigma(r) for every
-    pair (s, r); a missing join fails the class count.
+    it down at every order: sigma is an onto unital homomorphism (which
+    proves the tables form a ring) sending S into the units with kernel
+    ass(S), there are exactly n/|ass(S)| classes, and
+    sigma(s) * [s, r] == sigma(r) for every pair (s, r); a missing join
+    fails the class count.
     """
     elems = subset_of(ring, dens)
     check_semigroup(ring, elems)
@@ -189,13 +195,8 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     sigma_table = pair_class[M[S[0]]]  # row s0 is row 0
     reps = tuple(zip(S[rows].tolist(), nums.tolist()))
     names = tuple(f"{s}\\{r}" for s, r in reps)
-    fr_ring = FiniteRing(
-        k, add_table, mul_table, sigma_table[ring.zero], sigma_table[ring.one], names
-    )
-    try:
-        sigma = RingMap(ring, fr_ring, sigma_table)
-    except ValueError as e:
-        raise InternalInconsistency(f"canonical map is not a homomorphism: {e}") from e
+    sigma = _image_ring(ring, sigma_table, add_table, mul_table, names, "canonical map")
+    fr_ring = sigma.target
 
     if sigma.kernel() != a:
         raise InternalInconsistency("kernel of the canonical map differs from ass(S)")

@@ -1,21 +1,34 @@
 """Finite unital rings presented by explicit operation tables.
 
 A ring lives on the carrier {0, ..., n-1}.  Its only tables are
-``np_add`` and ``np_mul``: full n-by-n read-only int64 arrays, copied
-from the caller's input once.  ``add`` and ``mul`` are a tuple view of
-them, built on first read, for readers outside the package; nothing in
-the package reads them.  Construction always validates every unital-ring
-law and reports the first failure with a witness, so a ``FiniteRing``
-that exists is a ring.  The check is a proof in O(n^2 log n): the laws
-in one or two variables are checked outright, and each law in three
-variables only for its middle variable b in a generating set G of
-(R, +), one n-by-n gather per g in G; G has at most log2(n) + 1
-elements when (R, +) is a group.  The b that pass form a set closed
-under +, so passing on G proves the law for every b:
+``np_add`` and ``np_mul``: full n-by-n read-only int64 arrays.  ``add``
+and ``mul`` are a tuple view of them, built on first read, for readers
+outside the package; nothing in the package reads them.  A ``FiniteRing``
+that exists is a ring, by one of two proofs.
+
+Tables from the caller (``from_tables``, ring files, the catalog
+constructors, ``opposite``) are copied once and validated against every
+unital-ring law; the first failure is reported with a witness.  The
+check is a proof in O(n^2 log n): the laws in one or two variables are
+checked outright, and each law in three variables only for its middle
+variable b in a generating set G of (R, +), one n-by-n gather per g in
+G; G has at most log2(n) + 1 elements when (R, +) is a group.  The b
+that pass form a set closed under +, so passing on G proves the law for
+every b:
 
 - add-associative, by Light's test: if b and b' pass, so does b + b';
 - left- and right-distributive, once + is associative;
 - mul-associative, once both distributive laws hold.
+
+Tables derived from rings that already exist are proved by the map that
+builds them instead, and are not copied.  A quotient R/a and a fraction
+ring S^-1 R (which is R/ass(S) on a finite ring) come with a map f from
+R; f is checked to be onto, to preserve + and * and to keep 0 and 1
+apart, which carries every law of R onto the image (``_image_ring``).  A
+direct product is carried by its radix digits, a bijection onto the
+tuples, and its projections, each checked as a ring map onto a factor.
+A failure there is a bug in the builder, so it raises
+``InternalInconsistency``, never ``AxiomViolation``.
 
 Subsets of the carrier are bitmask-backed ``CarrierSubset`` values; maps
 between rings are table-backed ``RingMap`` values validated as unital
@@ -187,7 +200,13 @@ def _table(t, n: int, what: str) -> np.ndarray:
 
 
 class FiniteRing:
-    """A finite ring with 1 on {0..n-1}; validated on construction."""
+    """A finite ring with 1 on {0..n-1}.
+
+    Construction copies the caller's tables and validates every law.
+    Derived rings (quotients, fraction rings, products) are made by
+    ``_proved_ring`` instead, once their builder has proved the laws by
+    a map check.
+    """
 
     def __init__(self, order, add, mul, zero, one, names: Sequence[str] | None = None):
         self.order = int(order)
@@ -303,6 +322,45 @@ class FiniteRing:
 def from_tables(order, add, mul, zero, one, names=None) -> FiniteRing:
     """Build and fully validate a ring from raw tables."""
     return FiniteRing(order, add, mul, zero, one, names)
+
+
+def _proved_ring(add: np.ndarray, mul: np.ndarray, zero, one, names=None) -> FiniteRing:
+    """A ring on freshly gathered int64 tables whose laws the caller has
+    proved by a map check (``_image_ring``, ``direct_product``), so
+    Light's test is not run.  The tables are made read-only in place, not
+    copied, and names built from validated names are not scanned again."""
+    ring = FiniteRing.__new__(FiniteRing)
+    ring.order = len(add)
+    ring.np_add = np.ascontiguousarray(add, dtype=np.int64)
+    ring.np_mul = np.ascontiguousarray(mul, dtype=np.int64)
+    ring.np_add.setflags(write=False)
+    ring.np_mul.setflags(write=False)
+    ring.zero, ring.one = int(zero), int(one)
+    ring.names = None if names is None else tuple(names)
+    return ring
+
+
+def _image_ring(source: FiniteRing, F: np.ndarray, add, mul, names, what: str) -> RingMap:
+    """The ring T with tables add and mul, given as the map F: source -> T.
+
+    T's zero and one are F(0) and F(1).  F is checked to be a unital
+    homomorphism (the RingMap gathers) and onto, and F(0) != F(1).  Then
+    every element of T is some F(x), so closure, the zero, additive
+    inverses and each law of source hold in T at the images: T is a ring,
+    and Light's test is not run on it.  The tables are built by this
+    package, so a failure is a bug, raised as InternalInconsistency.
+    """
+    target = _proved_ring(add, mul, F[source.zero], F[source.one], names)
+    try:
+        f = RingMap(source, target, F)
+    except ValueError as e:
+        raise InternalInconsistency(f"{what} is not a homomorphism: {e}") from e
+    hits = np.bincount(F, minlength=target.order)  # not np.unique, which imports numpy.ma
+    if not hits.all():
+        raise InternalInconsistency(f"{what} is not onto: {int(hits.argmin())} has no preimage")
+    if target.zero == target.one:
+        raise InternalInconsistency(f"{what} sends 0 and 1 to the same element {target.zero}")
+    return f
 
 
 # -- one memo per analysis -------------------------------------------------
@@ -727,7 +785,12 @@ def unit_pullback(f: RingMap) -> CarrierSubset:
 
 
 def quotient(ring: FiniteRing, ideal: CarrierSubset) -> tuple[FiniteRing, RingMap]:
-    """R/a together with the projection map; a must be a proper two-sided ideal."""
+    """R/a together with the projection map; a must be a proper two-sided ideal.
+
+    R/a is proved a ring by its projection, checked to be an onto unital
+    homomorphism with distinct images of 0 and 1 (``_image_ring``);
+    Light's test is not run on it.
+    """
     if ideal.n != ring.order:
         raise NotAnIdeal("subset lives on a different carrier")
     if not is_additive_subgroup(ring, ideal):
@@ -745,8 +808,8 @@ def quotient(ring: FiniteRing, ideal: CarrierSubset) -> tuple[FiniteRing, RingMa
     q_add = proj[ring.np_add[reps[:, None], reps]]
     q_mul = proj[ring.np_mul[reps[:, None], reps]]
     names = None if ring.names is None else [ring.names[r] for r in reps.tolist()]
-    q = FiniteRing(len(reps), q_add, q_mul, proj[ring.zero], proj[ring.one], names)
-    return q, RingMap(ring, q, proj)
+    f = _image_ring(ring, proj, q_add, q_mul, names, "projection onto the quotient")
+    return f.target, f
 
 
 @dataclass(frozen=True)
@@ -801,7 +864,16 @@ def digitwise_table(tables: Sequence[np.ndarray], strides: Sequence[int], digits
 
 
 def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> ProductRing:
-    """Componentwise product; leftmost factor is the most significant digit."""
+    """Componentwise product; leftmost factor is the most significant digit.
+
+    The product is proved a ring without Light's test.  Its radix digits
+    are a bijection onto the tuples of factor elements (checked once), each
+    projection is checked as a unital ring map onto its factor, and zero
+    and one encode the tuples of the factors' zeros and ones.  So the
+    product's + and * are the factors' laws on tuples.  The closure check
+    keeps the projection gathers inside the carrier.  A failure is a bug
+    in the tables built here, raised as InternalInconsistency.
+    """
     if not factors:
         raise ValueError("need at least one factor")
     n = 1
@@ -812,16 +884,24 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
 
     radices = [f.order for f in factors]
     strides, digits = radix_digits(radices)
+    if not np.array_equal(sum(st * d for st, d in zip(strides, digits)), np.arange(n)):
+        raise InternalInconsistency("the radix digits do not encode the product's carrier")
     add_t = digitwise_table([f.np_add for f in factors], strides, digits)
     mul_t = digitwise_table([f.np_mul for f in factors], strides, digits)
+    for what, T in (("add", add_t), ("mul", mul_t)):
+        if T.min() < 0 or T.max() >= n:
+            raise InternalInconsistency(f"the product's {what} table leaves its carrier")
     zero = radix_encode(radices, [f.zero for f in factors])
     one = radix_encode(radices, [f.one for f in factors])
     names = None
     if all(f.names is not None for f in factors):
         parts = zip(*([f.names[v] for v in d.tolist()] for f, d in zip(factors, digits)))
         names = ["(" + ",".join(p) + ")" for p in parts]
-    ring = FiniteRing(n, add_t, mul_t, zero, one, names)
-    projections = tuple(RingMap(ring, f, d) for f, d in zip(factors, digits))
+    ring = _proved_ring(add_t, mul_t, zero, one, names)
+    try:
+        projections = tuple(RingMap(ring, f, d) for f, d in zip(factors, digits))
+    except ValueError as e:
+        raise InternalInconsistency(f"a projection of the product is not a homomorphism: {e}") from e
     embeddings = tuple(
         tuple(zero + (x - f.zero) * st for x in range(f.order)) for st, f in zip(strides, factors)
     )

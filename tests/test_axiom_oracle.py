@@ -1,18 +1,36 @@
-"""The axiom check against the O(n^3) scan it replaced.
+"""The axiom check against the O(n^3) scan it replaced, and derived rings
+against the axiom check they skip.
 
 ``FiniteRing._validate`` checks the laws in three variables only at the
 additive generators.  The reference below is the old scan over every
 first (or last) variable, kept here as an oracle.  On every table of the
 corpus the two must agree on whether the table is a ring, and the law the
 check raises must fail at its witness when evaluated from the tables.
+
+Quotients, fraction rings and products are proved rings by the maps that
+build them, so Light's test never runs on them.  The full check stays
+their oracle: each such ring of the corpus must pass ``from_tables`` and
+equal the ring it was rebuilt from.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from test_fraction_oracle import QUOTIENT_RINGS
 
-from orelab import AxiomViolation, construct, from_tables
+from orelab import (
+    DEFAULT_CATALOG,
+    AxiomViolation,
+    SizeGuardExceeded,
+    build_fraction_ring,
+    construct,
+    from_tables,
+    saturated_denominator_sets,
+    units,
+)
+from orelab.rings import direct_product, quotient, two_sided_ideals
 
 
 def _loop_violation(order, add, mul, zero, one):
@@ -261,3 +279,37 @@ ONE_PER_LAW = _one_per_law()
 @pytest.mark.parametrize("law", sorted(ONE_PER_LAW))
 def test_one_table_per_law(law):
     assert _check_agrees(*ONE_PER_LAW[law]) == law
+
+
+DERIVED_CORPUS = tuple(DEFAULT_CATALOG) + QUOTIENT_RINGS
+
+
+def _revalidates(ring):
+    """Assert that the full axiom check accepts a derived ring as it is."""
+    assert not (ring.np_add.flags.writeable or ring.np_mul.flags.writeable)
+    again = from_tables(ring.order, ring.np_add, ring.np_mul, ring.zero, ring.one, ring.names)
+    assert again == ring and hash(again) == hash(ring) and again.names == ring.names
+
+
+@pytest.mark.parametrize("spec", DERIVED_CORPUS)
+def test_quotients_and_fraction_rings_pass_the_full_check(spec):
+    ring = construct(spec)
+    for ideal in two_sided_ideals(ring):
+        if len(ideal) < ring.order:
+            _revalidates(quotient(ring, ideal)[0])
+    family = [units(ring)] + [m.elements for m in saturated_denominator_sets(ring).values()]
+    for dens in family:
+        _revalidates(build_fraction_ring(ring, dens).ring)
+
+
+def test_pairwise_products_pass_the_full_check():
+    rings = [construct(spec) for spec in DERIVED_CORPUS]
+    built = 0
+    for left, right in itertools.combinations_with_replacement(rings, 2):
+        try:
+            product = direct_product(left, right)
+        except SizeGuardExceeded:
+            continue
+        _revalidates(product.ring)
+        built += 1
+    assert built > 300
