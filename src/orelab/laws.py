@@ -72,16 +72,20 @@ class LawResult:
 class LawContext:
     """The target ring of one law run and the structures the laws share.
 
-    Each property is computed on first use and kept.  Everything heavier
-    (ideal lattices, quotients, fraction rings, profiles of partner
-    products) comes from the memo of the enclosing ``run_laws`` call, so
-    a law that asks the library for an object another law already built
-    gets the same object.
+    Each property, and each partner product, is computed on first use and
+    kept.  Everything heavier (ideal lattices, quotients, fraction rings,
+    annihilators and denominator tests, profiles of partner products)
+    comes from the memo of the enclosing ``run_laws`` call.  That memo
+    keys a ring by its structure, not its element names, so a law that
+    asks the library for an object another law already built, on the
+    target or on any ring equal to it (Q_l(R) often has R's tables under
+    other names), gets the same object.
     """
 
     def __init__(self, ring: FiniteRing, guards: Guards = DEFAULT_GUARDS):
         self.ring = ring
         self.guards = guards
+        self._partners: dict = {}
 
     @cached_property
     def profile(self):
@@ -115,7 +119,7 @@ class LawContext:
                     cl = mul_closure(ring, [x, ring.one])
                 except ZeroAbsorbed:
                     continue
-                if is_left_denominator(ring, cl).holds:
+                if once(is_left_denominator, ring, cl.elements).holds:
                     seen.setdefault(cl.mask, cl.elements)
         return [seen[m] for m in sorted(seen)]
 
@@ -131,11 +135,14 @@ class LawContext:
         return [out[m] for m in sorted(out)]
 
     def partner_product(self, partner_spec: str):
-        """direct product <partner> x <target>."""
+        """direct product <partner> x <target>, built once per law run, so
+        the memo finds the same object on every later use."""
         from .catalog import construct
 
-        partner = construct(partner_spec, self.guards)
-        return direct_product(partner, self.ring, guards=self.guards)
+        if partner_spec not in self._partners:
+            partner = construct(partner_spec, self.guards)
+            self._partners[partner_spec] = direct_product(partner, self.ring, guards=self.guards)
+        return self._partners[partner_spec]
 
 
 def _unit_inverses(ring: FiniteRing) -> dict[int, int]:
@@ -188,9 +195,9 @@ def _check_denominator_semigroup_products(ctx: LawContext):
     ring = ctx.ring
     pairs = 0
     for s_sub in ctx.denominator_sets:
-        a = ass(ring, s_sub)
+        a = once(ass, ring, s_sub)
         for t_sub in ctx.denominator_sets:
-            b = ass(ring, t_sub)
+            b = once(ass, ring, t_sub)
             if not a.issubset(b):
                 continue
             pairs += 1
@@ -200,9 +207,9 @@ def _check_denominator_semigroup_products(ctx: LawContext):
                 return False, True, f"semigroup product absorbed zero: {e}"
             if not r_ass(ring, st).issubset(b):
                 return False, True, f"right annihilators of the product escape ass of the larger set (|S|={len(s_sub)}, |T|={len(t_sub)})"
-            if not is_left_denominator(ring, st).holds:
+            if not once(is_left_denominator, ring, st.elements).holds:
                 return False, True, "semigroup product is not a denominator set"
-            if not b.issubset(ass(ring, st)):
+            if not b.issubset(once(ass, ring, st.elements)):
                 return False, True, "product annihilator lost elements of the larger annihilator"
     return True, True, f"checked {pairs} ordered pairs"
 
@@ -250,7 +257,7 @@ def _check_product_lifting(ctx: LawContext):
     expected = {}
     for slot, factor in enumerate(factors):
         for s_i in max_den(factor, ctx.guards):
-            expected[(slot, s_i.mask)] = (ass(s_i), s_i)
+            expected[(slot, s_i.mask)] = (once(ass, factor, s_i.elements), s_i)
     expected_masks = {
         prod.projections[slot].preimage(s.elements).mask for (slot, _), (_, s) in expected.items()
     }
@@ -262,7 +269,7 @@ def _check_product_lifting(ctx: LawContext):
     for (slot, _), (a_i, s_i) in expected.items():
         factor, proj, emb = factors[slot], prod.projections[slot], prod.embeddings[slot]
         lifted = proj.preimage(s_i.elements)
-        if ass(p_ring, lifted) != proj.preimage(a_i):
+        if once(ass, p_ring, lifted) != proj.preimage(a_i):
             return False, True, f"lifted annihilator mismatch in slot {slot}"
 
         fr_p = once(build_fraction_ring, p_ring, lifted)
@@ -301,12 +308,10 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
 
     full = CarrierSubset.full(p_ring.order)
     for i in range(n):
-        if ass(p_ring, lifted[i]) != prod.projections[i].kernel():
+        if once(ass, p_ring, lifted[i]) != prod.projections[i].kernel():
             problems.append(f"annihilator of lifted set {i} is not the coordinate kernel")
         for j in range(i + 1, n):
-            got = subgroup_sum(
-                p_ring, ass(p_ring, lifted[i]), ass(p_ring, lifted[j])
-            )
+            got = subgroup_sum(p_ring, once(ass, p_ring, lifted[i]), once(ass, p_ring, lifted[j]))
             if got != full:
                 problems.append(f"annihilators {i},{j} are not comaximal")
 
@@ -490,7 +495,7 @@ def _check_division_dichotomy(ctx: LawContext):
                 f"localization division={division} but set-plus-annihilator covers={covers}",
             )
     for sub in ctx.denominator_sets:
-        if sub.mask & ass(ctx.ring, sub).mask:
+        if sub.mask & once(ass, ctx.ring, sub).mask:
             return False, True, "a denominator set meets its own annihilator"
     return True, True, f"dichotomy holds for all {len(ctx.entries)} maximal sets"
 
@@ -550,10 +555,10 @@ def _check_isolated_component_denominators(ctx: LawContext):
     crosses = _cross_annihilator_sets(ctx)
     for i, (a, s, fr) in enumerate(ctx.entries):
         ci = crosses[i]
-        verdict = is_left_denominator(ring, ci)
+        verdict = once(is_left_denominator, ring, ci)
         if not verdict.holds:
             return False, True, f"component set {i} is not a denominator set at {verdict.witness}"
-        if ass(ring, ci) != a:
+        if once(ass, ring, ci) != a:
             return False, True, f"component set {i} has the wrong annihilator"
         try:
             cfr = once(build_fraction_ring, ring, ci)
@@ -569,10 +574,10 @@ def _check_isolated_component_denominators(ctx: LawContext):
     csum = _zero_subset(ring)
     for ci in crosses:
         csum = subgroup_sum(ring, csum, ci)
-    verdict = is_left_denominator(ring, csum)
+    verdict = once(is_left_denominator, ring, csum)
     if not verdict.holds:
         return False, True, f"summed component set is not a denominator set at {verdict.witness}"
-    if ass(ring, csum) != _zero_subset(ring):
+    if once(ass, ring, csum) != _zero_subset(ring):
         return False, True, "summed component set has a nonzero annihilator"
     try:
         sfr = once(build_fraction_ring, ring, csum)
@@ -648,7 +653,7 @@ def _check_four_way_localizability(ctx: LawContext):
 def _check_regular_set_transport(ctx: LawContext):
     ring = ctx.ring
     zero = _zero_subset(ring)
-    faithful = [sub for sub in ctx.denominator_sets if ass(ring, sub) == zero]
+    faithful = [sub for sub in ctx.denominator_sets if once(ass, ring, sub) == zero]
     if not faithful:
         return False, True, "no faithful denominator sets found (the unit group must be one)"
     for t_sub in faithful:
@@ -748,10 +753,10 @@ def _check_core_localization_equivalence(ctx: LawContext):
         c = core(ring, sub)
         if not c:
             return False, True, "an Ore set on a finite ring has an empty core"
-        verdict = is_left_denominator(ring, c)
+        verdict = once(is_left_denominator, ring, c)
         if not verdict.holds:
             return False, True, f"core fails the denominator test at {verdict.witness}"
-        if ass(ring, c) != ass(ring, sub):
+        if once(ass, ring, c) != once(ass, ring, sub):
             return False, True, "core has a different annihilator"
         fr = once(build_fraction_ring, ring, sub)
         core_transfer_isomorphism(fr)
@@ -764,13 +769,13 @@ def _check_annihilator_union_is_sum(ctx: LawContext):
         union = 0
         kernels = []
         for s in sub:
-            k = ass(ring, [s]).mask
+            k = once(ass, ring, CarrierSubset(ring.order, 1 << s)).mask
             union |= k
             kernels.append(CarrierSubset(ring.order, k))
         total = kernels[0]
         for k in kernels[1:]:
             total = subgroup_sum(ring, total, k)
-        if total.mask != union or union != ass(ring, sub).mask:
+        if total.mask != union or union != once(ass, ring, sub).mask:
             return False, True, "union, sum and annihilator of the kernels differ"
     return True, True, f"checked {len(ctx.ore_sets)} Ore sets"
 
@@ -779,13 +784,13 @@ def _check_core_equals_max_kernels(ctx: LawContext):
     ring = ctx.ring
     for sub in ctx.ore_sets:
         members = sorted(sub.indices())
-        kernels = {s: ass(ring, [s]).mask for s in members}
+        kernels = {s: once(ass, ring, CarrierSubset(ring.order, 1 << s)).mask for s in members}
         maxima = {
             s
             for s, k in kernels.items()
             if not any(k != k2 and (k | k2) == k2 for k2 in kernels.values())
         }
-        a = ass(ring, sub).mask
+        a = once(ass, ring, sub).mask
         by_definition = {s for s, k in kernels.items() if k == a}
         if maxima != by_definition:
             return False, True, f"max-kernel elements {sorted(maxima)} differ from the core {sorted(by_definition)}"

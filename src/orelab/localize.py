@@ -132,13 +132,13 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
     """
     elems = subset_of(ring, dens)
     check_semigroup(ring, elems)
-    den = is_left_denominator(ring, elems)
+    den = once(is_left_denominator, ring, elems)
     if not den.holds:
         raise NotDenominator(den.witness)
 
     n, A, M = ring.order, ring.np_add, ring.np_mul
     S = np.array(elems.indices(), dtype=np.intp)
-    m, a = len(S), ass(ring, elems)
+    m, a = len(S), once(ass, ring, elems)
     row_of = np.zeros(n, dtype=np.intp)
     row_of[S] = np.arange(m)
 
@@ -273,7 +273,7 @@ def largest_left_quotient(ring: FiniteRing) -> LargestQuotient:
     if regular_elements(ring) != u:
         raise InternalInconsistency("regular elements differ from units on a finite ring")
     s0 = MulSet(ring, u)
-    den = is_left_denominator(s0)
+    den = once(is_left_denominator, ring, u)
     if not den.holds:
         raise InternalInconsistency(f"the unit group failed the denominator test at {den.witness}")
     fr = once(build_fraction_ring, ring, u)

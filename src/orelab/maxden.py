@@ -9,7 +9,7 @@ and cross-checked against an independent route wherever one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, SizeGuardExceeded
@@ -55,12 +55,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RouteResult:
-    """Outcome of one localizability criterion."""
+    """Outcome of one localizability criterion.
+
+    A detail that lists elements keeps them as indices in ``elements``
+    until ``_named`` writes them after the detail in a ring's names.
+    """
 
     name: str
     ran: bool
     value: bool | None
     detail: str = ""
+    elements: tuple[int, ...] = ()
 
     def to_doc(self) -> dict:
         return {"name": self.name, "ran": self.ran, "value": self.value, "detail": self.detail}
@@ -82,9 +87,12 @@ class LocalizabilityVerdict:
 
 @dataclass(frozen=True)
 class Condition:
+    """One splitting condition; ``elements`` as in ``RouteResult``."""
+
     name: str
     holds: bool
     detail: str = ""
+    elements: tuple[int, ...] = ()
 
     def to_doc(self) -> dict:
         return {"name": self.name, "holds": self.holds, "detail": self.detail}
@@ -169,9 +177,9 @@ def saturated_denominator_sets(
         if len(a) == ring.order:
             continue
         t = unit_pullback(once(quotient, ring, a)[1])
-        if not is_left_denominator(ring, t).holds:
+        if not once(is_left_denominator, ring, t).holds:
             continue
-        if ass(ring, t) != a:
+        if once(ass, ring, t) != a:
             continue
         out[a] = MulSet(ring, t)
     if not out:
@@ -209,7 +217,7 @@ def brute_force_denominator_sets(
     found = [
         MulSet(ring, sub)
         for sub in closed_unital_subsets(ring)
-        if is_left_denominator(ring, sub).holds
+        if once(is_left_denominator, ring, sub).holds
     ]
     found.sort(key=lambda s: (len(s), s.mask))
     return found
@@ -290,7 +298,9 @@ def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> 
     Four conditions are tested; when they all hold the coordinate map
     onto the product of quotients is built, proved bijective, and the
     expected identifications (unit pullbacks, projection kernels, the
-    localizations themselves) are verified on the result.
+    localizations themselves) are verified on the result.  A condition
+    lists elements by index (``Condition.elements``), so the result holds
+    no names; ``localization_profile`` names them by its own ring.
     """
     entries = _maximal_entries(once(saturated_denominator_sets, ring, guards))
     n_factors = len(entries)
@@ -305,13 +315,10 @@ def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> 
     for a, _ in entries:
         radical_mask &= a.mask
     rad = CarrierSubset(ring.order, radical_mask)
-    conditions.append(
-        Condition(
-            "zero-localization-radical",
-            rad == zero_ideal,
-            "" if rad == zero_ideal else f"radical = {{{', '.join(ring.name_of(x) for x in sorted(rad))}}}",
-        )
-    )
+    if rad == zero_ideal:
+        conditions.append(Condition("zero-localization-radical", True))
+    else:
+        conditions.append(Condition("zero-localization-radical", False, "radical =", rad.indices()))
 
     pair_ok, pair_detail = True, ""
     for i in range(n_factors):
@@ -367,6 +374,15 @@ def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> 
     )
 
 
+def _named(result, ring: FiniteRing):
+    """A route result or condition with its elements, if any, listed
+    after its detail by ring's names."""
+    if not result.elements:
+        return result
+    listing = ", ".join(ring.name_of(x) for x in result.elements)
+    return replace(result, detail=f"{result.detail} {{{listing}}}", elements=())
+
+
 _ROUTE_ELEMENTS = "every-nonzero-element-localizable"
 _ROUTE_RADICAL = "zero-radical-with-division-localizations"
 _ROUTE_GOLDIE = "semiprime-with-matching-uniform-dimension"
@@ -413,19 +429,14 @@ def localization_profile(
 
         routes: list[RouteResult] = []
 
-        nonzero = CarrierSubset.full(ring.order) - CarrierSubset.from_indices(ring.order, [ring.zero])
-        v1 = localizable == nonzero
-        bad = sorted(non_localizable - CarrierSubset.from_indices(ring.order, [ring.zero]))
-        routes.append(
-            RouteResult(
-                _ROUTE_ELEMENTS,
-                True,
-                v1,
-                "" if v1 else "stuck elements: {" + ", ".join(ring.name_of(x) for x in bad) + "}",
-            )
-        )
-
         zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
+        v1 = localizable == CarrierSubset.full(ring.order) - zero_ideal
+        if v1:
+            routes.append(RouteResult(_ROUTE_ELEMENTS, True, True))
+        else:
+            stuck = (non_localizable - zero_ideal).indices()
+            routes.append(_named(RouteResult(_ROUTE_ELEMENTS, True, False, "stuck elements:", stuck), ring))
+
         rad_zero = radical == zero_ideal
         divs = [is_division_ring(fr.ring) for fr in localizations]
         v2 = rad_zero and all(divs)
@@ -459,7 +470,10 @@ def localization_profile(
         # trip here: guards bound orders, and R's order passed them above.
         if not once(largest_left_quotient, ring).fractions.sigma.is_bijective():
             raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
+        # the decomposition may be shared with an equal ring under other
+        # names, so the profile names its conditions' elements by R's
         dec = once(product_decomposition, ring, guards)
+        dec = replace(dec, conditions=tuple(_named(c, ring) for c in dec.conditions))
         v4 = dec.succeeded and all(dec.factor_division)
         if v4:
             d4 = ""

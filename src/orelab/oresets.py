@@ -7,7 +7,10 @@ sense that matters (their fraction rings exist and are isomorphic to the
 original ones).  ``MulSet`` is the strict notion used in reports.
 
 The predicates are gathers on the numpy table ``ring.np_mul``, and a
-failure's witness is the first one in lexicographic order.
+failure's witness is the first one in lexicographic order.  Callers in
+the package reach ``ass`` and ``is_left_denominator`` through
+``rings.once`` with a ring and a ``CarrierSubset``, so each runs once per
+(ring, set) in an analysis.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ def is_left_denominator(ring_or_mulset, setlike=None) -> Verdict:
         return ore
     S = _indices(ring, elems)
     kills = ring.np_mul[:, S] == ring.zero  # kills[r, j]: r*s_j = 0
-    irreversible = kills.any(1) & ~mask_members(ring.order, ass(ring, elems).mask)
+    irreversible = kills.any(1) & ~mask_members(ring.order, once(ass, ring, elems).mask)
     if not irreversible.any():
         return Verdict(True, None)
     r = int(irreversible.argmax())
@@ -267,7 +270,7 @@ def max_kernel_elements(ring_or_mulset, setlike=None) -> CarrierSubset:
     asserted here rather than assumed.
     """
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
-    kernels = {s: ass(ring, [s]).mask for s in elems}
+    kernels = {s: once(ass, ring, CarrierSubset(ring.order, 1 << s)).mask for s in elems}
     values = set(kernels.values())
 
     def is_max(k: int) -> bool:
@@ -296,11 +299,11 @@ def saturate(mulset: MulSet) -> MulSet:
     from . import localize  # deferred: localize depends on this module
     from .rings import quotient, unit_pullback
 
-    ring = mulset.ring
-    den = is_left_denominator(mulset)
+    ring, elems = mulset.ring, mulset.elements
+    den = once(is_left_denominator, ring, elems)
     if not den.holds:
         raise NotDenominator(den.witness)
-    a = ass(mulset)
+    a = once(ass, ring, elems)
     if not is_two_sided_ideal(ring, a):
         raise InternalInconsistency(f"ass {a} of a denominator set is not an ideal")
     by_quotient = unit_pullback(quotient(ring, a)[1])
@@ -312,7 +315,7 @@ def saturate(mulset: MulSet) -> MulSet:
     out = MulSet(ring, by_quotient)
     if not mulset.elements.issubset(out.elements):
         raise InternalInconsistency("saturation lost elements of the original set")
-    if ass(out) != a:
+    if once(ass, ring, out.elements) != a:
         raise InternalInconsistency("saturation changed the annihilator ideal")
     return out
 
@@ -328,15 +331,16 @@ def semigroup_product(s: MulSet, t: MulSet) -> MulSet:
         raise ValueError("sets belong to different rings")
     ring = s.ring
     product = mul_closure(ring, list(s.elements) + list(t.elements))
-    s_den = is_left_denominator(s)
-    t_den = is_left_denominator(t)
-    if s_den.holds and t_den.holds and ass(s).issubset(ass(t)):
-        verdict = is_left_denominator(product)
+    s_den = once(is_left_denominator, ring, s.elements)
+    t_den = once(is_left_denominator, ring, t.elements)
+    a_t = once(ass, ring, t.elements)
+    if s_den.holds and t_den.holds and once(ass, ring, s.elements).issubset(a_t):
+        verdict = once(is_left_denominator, ring, product.elements)
         if not verdict.holds:
             raise InternalInconsistency(
                 f"product of nested denominator sets fails at {verdict.witness}"
             )
-        if not ass(t).issubset(ass(product)):
+        if not a_t.issubset(once(ass, ring, product.elements)):
             raise InternalInconsistency("product lost part of the larger annihilator")
     return product
 
@@ -346,9 +350,8 @@ def denominator_sidedness(mulset: MulSet) -> str:
 
     The right-hand check runs the left predicate on the opposite ring.
     """
-    left = is_left_denominator(mulset).holds
-    op = opposite(mulset.ring)
-    right = is_left_denominator(op, mulset.elements).holds
+    left = once(is_left_denominator, mulset.ring, mulset.elements).holds
+    right = once(is_left_denominator, opposite(mulset.ring), mulset.elements).holds
     if left and right:
         return "two-sided"
     if left:
@@ -393,8 +396,8 @@ def ore_report(mulset: MulSet) -> OreReport:
     ring = mulset.ring
     with one_analysis():
         ore = once(is_left_ore, ring, mulset.elements)
-        den = is_left_denominator(mulset)
-        a = ass(mulset)
+        den = once(is_left_denominator, ring, mulset.elements)
+        a = once(ass, ring, mulset.elements)
         if a.mask & mulset.mask:
             raise InternalInconsistency("a multiplicative set meets its own annihilator")
         c = None

@@ -384,19 +384,23 @@ def one_analysis():
 def once(fn, *args):
     """fn(*args), computed at most once inside one_analysis().
 
-    A ring enters the key together with its element names: equal tables
-    may name their elements differently, and reports print the names.
-    On a miss fn is called through its module attribute, looked up now,
-    so a wrapper installed there sees every build and no hit.  Outside an
-    analysis this is a plain call.  Results are shared, so callers must
-    treat them as read-only.
+    The key is fn and the arguments as they compare, so a ring enters it
+    by its structure (order, zero, one and tables), never by its element
+    names: two labellings of one ring share every result.  A memoised
+    result therefore names no elements.  Whatever a report prints by
+    name it renders from the ring it was called with, and the derived
+    rings in a result (quotients, products) keep the names they were
+    built with, which no report prints.  On a miss fn is called through
+    its module attribute, looked up now, so a wrapper installed there
+    sees every build and no hit.  Outside an analysis this is a plain
+    call.  Results are shared, so callers must treat them as read-only.
     """
     fn = inspect.unwrap(fn)
     call = getattr(sys.modules[fn.__module__], fn.__name__)
     memo = _MEMO.get()
     if memo is None:
         return call(*args)
-    key = (fn,) + tuple((a, a.names) if isinstance(a, FiniteRing) else a for a in args)
+    key = (fn, *args)
     if key not in memo:
         memo[key] = call(*args)
     return memo[key]

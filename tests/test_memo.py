@@ -1,9 +1,11 @@
 """The memo shared by one analysis: what it keeps, and for how long."""
 
 import io
+import re
 import sys
+from collections import Counter
 
-from orelab import construct, largest_left_quotient, localization_profile, run_laws
+from orelab import construct, largest_left_quotient, localization_profile, run_laws, save_ring_file
 from orelab import localize, maxden, oresets, rings
 from orelab.cli import run
 
@@ -121,3 +123,77 @@ def test_ore_report_runs_the_ore_test_once_per_ring(monkeypatch):
     report = oresets.ore_report(oresets.MulSet(t2f2, rings.units(t2f2)))
     assert report.sidedness == "two-sided"
     assert 1 <= len(calls) <= 2  # the ring and its opposite
+
+
+def test_each_fraction_ring_is_built_once_per_structure_in_a_law_run(monkeypatch):
+    # the memo keys a ring by its tables, so a ring equal to one already
+    # localized under other names (Q_l(R) often is) is not localized again
+    built = _record_fraction_rings(monkeypatch)
+    for spec in ("zmod(6)", "upper_triangular(gf(2),2)", "zmod(12)"):
+        built.clear()
+        run_laws(construct(spec))
+        pairs = [(tables, mask) for tables, _, mask in built]
+        assert len(set(pairs)) == len(pairs), f"{spec}: a fraction ring was built twice"
+
+
+def _relabelled_names(ring):
+    return rings.from_tables(
+        ring.order, ring.np_add, ring.np_mul, ring.zero, ring.one, [f"e{x}" for x in ring.elements]
+    )
+
+
+def _named_sets(text: str) -> set[str]:
+    """Every element name listed inside braces in a report."""
+    return {x for group in re.findall(r"\{([^}]*)\}", text) for x in group.split(", ") if x}
+
+
+def test_profiles_sharing_a_memo_name_only_their_own_elements(tmp_path):
+    ring = construct("upper_triangular(gf(2),2)")
+    other = _relabelled_names(ring)
+    assert other == ring and other.names != ring.names
+    path = tmp_path / "t2f2_renamed.ring"
+    save_ring_file(other, str(path))
+    with rings.one_analysis():
+        for r, target in ((ring, "upper_triangular(gf(2),2)"), (other, str(path))):
+            prof = localization_profile(r)
+            route = {x.name: x.detail for x in prof.verdict.routes}["every-nonzero-element-localizable"]
+            cond = {c.name: c.detail for c in prof.decomposition.conditions}["zero-localization-radical"]
+            out = io.StringIO()
+            assert run(["profile", target], stdout=out) == 0
+            for text in (route, cond, out.getvalue()):
+                listed = _named_sets(text)
+                assert listed and listed <= set(r.names), f"{target}: {text!r} names another ring's elements"
+
+
+def _record_calls(monkeypatch, fn) -> list:
+    calls = []
+
+    def counting(ring_or_mulset, setlike=None):
+        if setlike is None:  # a MulSet alone
+            calls.append((ring_or_mulset.ring, ring_or_mulset.elements))
+        else:
+            calls.append((ring_or_mulset, oresets.subset_of(ring_or_mulset, setlike)))
+        return fn(ring_or_mulset, setlike)
+
+    _patch_everywhere(monkeypatch, fn, counting)
+    return calls
+
+
+def test_ass_and_denominator_test_run_once_per_ring_and_set_in_an_analysis(monkeypatch):
+    ass_calls = _record_calls(monkeypatch, oresets.ass)
+    den_calls = _record_calls(monkeypatch, oresets.is_left_denominator)
+    run_laws(construct("zmod(12)"))
+    for name, calls in (("ass", ass_calls), ("is_left_denominator", den_calls)):
+        assert calls, f"{name} never ran"
+        repeats = [k for k, c in Counter(calls).items() if c > 1]
+        assert not repeats, f"{name} ran {len(calls)} times for {len(set(calls))} (ring, set) pairs"
+
+    # outside an analysis every call, through the memo or not, still runs
+    z12 = construct("zmod(12)")
+    u = rings.units(z12)
+    for fn, calls in ((oresets.ass, ass_calls), (oresets.is_left_denominator, den_calls)):
+        calls.clear()
+        fn(z12, u)
+        rings.once(fn, z12, u)
+        rings.once(fn, z12, u)
+        assert len(calls) == 3
