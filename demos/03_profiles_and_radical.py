@@ -29,8 +29,7 @@ def show(spec):
     print(f"localization radical: {sorted(prof.radical)}")
     print(f"left localizable: {prof.verdict.localizable}")
     for route in prof.verdict.routes:
-        mark = route.value if route.ran else f"skipped ({route.detail})"
-        print(f"  {route.name}: {mark}")
+        print(f"  {route.name}: {route.value}")
     print()
 
 

@@ -65,9 +65,7 @@ def _fmt_set(ring: FiniteRing, xs) -> str:
     return "{" + ", ".join(ring.name_of(x) for x in sorted(xs)) + "}"
 
 
-def _yesno(flag) -> str:
-    if flag is None:
-        return "undetermined"
+def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
@@ -152,10 +150,7 @@ def _render_profile(label: str, prof) -> str:
         f"left localizable: {_yesno(prof.verdict.localizable)}",
     ]
     for route in prof.verdict.routes:
-        if route.ran:
-            lines.append(f"  route {route.name}: {_yesno(route.value)}")
-        else:
-            lines.append(f"  route {route.name}: skipped ({route.detail})")
+        lines.append(f"  route {route.name}: {_yesno(route.value)}")
     dec = prof.decomposition
     if dec.succeeded:
         orders = ", ".join(str(f.order) for f in dec.factors)
@@ -193,8 +188,7 @@ _SUMMARY_HEADER = ("ring", "order", "|maxDen_l|", "|ll_R|", "localizable?", "dec
 
 def _batch_entry(work: tuple) -> dict:
     """Analyze one manifest entry; run in a worker process."""
-    spec, analyses, fmt, guard_fields = work
-    guards = Guards(*guard_fields)
+    spec, analyses, fmt, guards = work
     out: dict = {"target": spec, "status": "ok"}
     sections: list[str] = []
     docs: dict = {}
@@ -273,10 +267,7 @@ def _run_batch(args, guards: Guards, stdout) -> int:
     jobs = args.jobs if args.jobs is not None else (manifest.jobs or 1)
     out_dir = args.out or manifest.out
 
-    work = [
-        (spec, manifest.analyses, args.format, (guards.order, guards.left_ideals, guards.brute_force))
-        for spec in manifest.specs
-    ]
+    work = [(spec, manifest.analyses, args.format, guards) for spec in manifest.specs]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = list(pool.map(_batch_entry, work))

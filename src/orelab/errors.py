@@ -100,8 +100,10 @@ class BadSpec(OreLabError):
 class Guards:
     """Limits for the potentially explosive routines.
 
-    order:       ideal enumeration and constructor output sizes
-    left_ideals: left-ideal enumeration (uniform dimension)
+    order:       ideal enumeration, uniform dimension and constructor
+                 output sizes
+    left_ideals: the public ``left_ideals`` enumeration only; no
+                 analysis walks the left-ideal lattice
     brute_force: exhaustive denominator-set search over all subsets
     """
 

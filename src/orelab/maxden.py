@@ -57,13 +57,15 @@ __all__ = [
 class RouteResult:
     """Outcome of one localizability criterion.
 
-    A detail that lists elements keeps them as indices in ``elements``
-    until ``_named`` writes them after the detail in a ring's names.
+    Every route runs, so ``ran`` is always true; it stays in the report
+    format.  A detail that lists elements keeps them as indices in
+    ``elements`` until ``_named`` writes them after the detail in a
+    ring's names.
     """
 
     name: str
     ran: bool
-    value: bool | None
+    value: bool
     detail: str = ""
     elements: tuple[int, ...] = ()
 
@@ -73,7 +75,10 @@ class RouteResult:
 
 @dataclass(frozen=True)
 class LocalizabilityVerdict:
-    localizable: bool | None
+    """The routes' common value; ``partial`` is always false, as no route
+    is skipped, and stays in the report format."""
+
+    localizable: bool
     partial: bool
     routes: tuple[RouteResult, ...]
 
@@ -448,26 +453,23 @@ def localization_profile(
             d2 = f"localization {divs.index(False)} is not a division ring"
         routes.append(RouteResult(_ROUTE_RADICAL, True, v2, d2))
 
-        try:
-            sp = once(is_semiprime, ring, guards)
-            if not sp:
-                routes.append(RouteResult(_ROUTE_GOLDIE, True, False, "not semiprime"))
-            else:
-                mins = once(minimal_primes, ring, guards)
-                ud = uniform_dimension(ring, guards)
-                v3 = ud == len(mins) == len(entries)
-                d3 = (
-                    ""
-                    if v3
-                    else f"uniform dimension {ud}, minimal primes {len(mins)}, maximal sets {len(entries)}"
-                )
-                routes.append(RouteResult(_ROUTE_GOLDIE, True, v3, d3))
-        except SizeGuardExceeded as e:
-            routes.append(RouteResult(_ROUTE_GOLDIE, False, None, f"skipped: {e}"))
+        # no guard can trip in routes 3 and 4: guards bound orders, and R's
+        # order passed them when the saturated family walked its ideals
+        if not once(is_semiprime, ring, guards):
+            routes.append(RouteResult(_ROUTE_GOLDIE, True, False, "not semiprime"))
+        else:
+            mins = once(minimal_primes, ring, guards)
+            ud = uniform_dimension(ring, guards)
+            v3 = ud == len(mins) == len(entries)
+            d3 = (
+                ""
+                if v3
+                else f"uniform dimension {ud}, minimal primes {len(mins)}, maximal sets {len(entries)}"
+            )
+            routes.append(RouteResult(_ROUTE_GOLDIE, True, v3, d3))
 
         # route 4 reads Q_l(R)'s splitting off R's through the checked sigma,
-        # and that splitting is the profile's decomposition.  No guard can
-        # trip here: guards bound orders, and R's order passed them above.
+        # and that splitting is the profile's decomposition
         if not once(largest_left_quotient, ring).fractions.sigma.is_bijective():
             raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
         # the decomposition may be shared with an equal ring under other
@@ -484,14 +486,13 @@ def localization_profile(
             d4 = "a split factor is not a division ring"
         routes.append(RouteResult(_ROUTE_QUOTIENT, True, v4, d4))
 
-        values = {r.value for r in routes if r.ran}
+        values = {r.value for r in routes}
         if len(values) > 1:
             raise InternalInconsistency(
                 "localizability routes disagree: "
-                + "; ".join(f"{r.name}={r.value}" for r in routes if r.ran)
+                + "; ".join(f"{r.name}={r.value}" for r in routes)
             )
-        partial = not all(r.ran for r in routes)
-        verdict = LocalizabilityVerdict(values.pop() if values else None, partial, tuple(routes))
+        verdict = LocalizabilityVerdict(values.pop(), False, tuple(routes))
 
         return LocalizationProfile(
             ring,
@@ -508,8 +509,8 @@ def localization_profile(
         )
 
 
-def is_left_localizable(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool | None:
-    """True/False when the four routes settle it; None on a partial verdict."""
+def is_left_localizable(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool:
+    """The verdict on which the four routes of ``localization_profile`` agree."""
     return localization_profile(ring, guards).verdict.localizable
 
 

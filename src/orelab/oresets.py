@@ -37,7 +37,6 @@ __all__ = [
     "core",
     "max_kernel_elements",
     "saturate",
-    "semigroup_product",
     "denominator_sidedness",
     "ore_report",
 ]
@@ -318,31 +317,6 @@ def saturate(mulset: MulSet) -> MulSet:
     if once(ass, ring, out.elements) != a:
         raise InternalInconsistency("saturation changed the annihilator ideal")
     return out
-
-
-def semigroup_product(s: MulSet, t: MulSet) -> MulSet:
-    """Multiplicative closure of S union T.
-
-    When both inputs are denominator sets with ass(S) contained in ass(T),
-    the product is again a left denominator set whose ass contains ass(T);
-    both facts are asserted because theory guarantees them.
-    """
-    if s.ring != t.ring:
-        raise ValueError("sets belong to different rings")
-    ring = s.ring
-    product = mul_closure(ring, list(s.elements) + list(t.elements))
-    s_den = once(is_left_denominator, ring, s.elements)
-    t_den = once(is_left_denominator, ring, t.elements)
-    a_t = once(ass, ring, t.elements)
-    if s_den.holds and t_den.holds and once(ass, ring, s.elements).issubset(a_t):
-        verdict = once(is_left_denominator, ring, product.elements)
-        if not verdict.holds:
-            raise InternalInconsistency(
-                f"product of nested denominator sets fails at {verdict.witness}"
-            )
-        if not a_t.issubset(once(ass, ring, product.elements)):
-            raise InternalInconsistency("product lost part of the larger annihilator")
-    return product
 
 
 def denominator_sidedness(mulset: MulSet) -> str:

@@ -7,14 +7,13 @@ outside the package; nothing in the package reads them.  A ``FiniteRing``
 that exists is a ring, by one of two proofs.
 
 Tables from the caller (``from_tables``, ring files, the catalog
-constructors, ``opposite``) are copied once and validated against every
-unital-ring law; the first failure is reported with a witness.  The
-check is a proof in O(n^2 log n): the laws in one or two variables are
-checked outright, and each law in three variables only for its middle
-variable b in a generating set G of (R, +), one n-by-n gather per g in
-G; G has at most log2(n) + 1 elements when (R, +) is a group.  The b
-that pass form a set closed under +, so passing on G proves the law for
-every b:
+constructors) are copied once and validated against every unital-ring
+law; the first failure is reported with a witness.  The check is a
+proof in O(n^2 log n): the laws in one or two variables are checked
+outright, and each law in three variables only for its middle variable
+b in a generating set G of (R, +), one n-by-n gather per g in G; G has
+at most log2(n) + 1 elements when (R, +) is a group.  The b that pass
+form a set closed under +, so passing on G proves the law for every b:
 
 - add-associative, by Light's test: if b and b' pass, so does b + b';
 - left- and right-distributive, once + is associative;
@@ -28,7 +27,8 @@ apart, which carries every law of R onto the image (``_image_ring``).  A
 direct product is carried by its radix digits, a bijection onto the
 tuples, and its projections, each checked as a ring map onto a factor.
 A failure there is a bug in the builder, so it raises
-``InternalInconsistency``, never ``AxiomViolation``.
+``InternalInconsistency``, never ``AxiomViolation``.  An opposite ring
+needs no check: the identity map is an anti-isomorphism R -> R^op.
 
 Subsets of the carrier are bitmask-backed ``CarrierSubset`` values; maps
 between rings are table-backed ``RingMap`` values validated as unital
@@ -203,9 +203,9 @@ class FiniteRing:
     """A finite ring with 1 on {0..n-1}.
 
     Construction copies the caller's tables and validates every law.
-    Derived rings (quotients, fraction rings, products) are made by
-    ``_proved_ring`` instead, once their builder has proved the laws by
-    a map check.
+    Derived rings (quotients, fraction rings, products, opposites) are
+    made by ``_proved_ring`` instead, once their builder has proved the
+    laws by a map.
     """
 
     def __init__(self, order, add, mul, zero, one, names: Sequence[str] | None = None):
@@ -325,10 +325,11 @@ def from_tables(order, add, mul, zero, one, names=None) -> FiniteRing:
 
 
 def _proved_ring(add: np.ndarray, mul: np.ndarray, zero, one, names=None) -> FiniteRing:
-    """A ring on freshly gathered int64 tables whose laws the caller has
-    proved by a map check (``_image_ring``, ``direct_product``), so
-    Light's test is not run.  The tables are made read-only in place, not
-    copied, and names built from validated names are not scanned again."""
+    """A ring on int64 tables built by the package whose laws the caller
+    has proved by a map (``_image_ring``, ``direct_product``,
+    ``opposite``), so Light's test is not run.  The tables are made
+    read-only in place, not copied (an opposite shares R's addition
+    table), and names built from validated names are not scanned again."""
     ring = FiniteRing.__new__(FiniteRing)
     ring.order = len(add)
     ring.np_add = np.ascontiguousarray(add, dtype=np.int64)
@@ -684,22 +685,29 @@ def is_semiprime(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool:
 
 
 def uniform_dimension(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> int:
-    """Largest k with k nonzero left ideals forming a direct sum in R."""
-    nonzero = [i for i in left_ideals(ring, guards) if len(i) > 1]
+    """Largest k with k nonzero left ideals forming a direct sum in R.
+
+    A finite ring is left Artinian, so its left socle is essential in R,
+    and the uniform dimension is the number of minimal left ideals in a
+    direct-sum decomposition of the socle (T. Y. Lam, Lectures on Modules
+    and Rings, section 6).  A minimal left ideal is R*x for every nonzero x
+    in it, so it is among the nonzero principal left ideals.  A minimal L
+    meets any left ideal in 0 or in L, so summing each one that the span
+    so far misses counts the summands.  Walking the principal ideals in
+    increasing mask order keeps the others out: each contains a minimal
+    L, whose mask is smaller, so by its turn L lies in the span.
+    """
+    if ring.order > guards.order:
+        raise SizeGuardExceeded("uniform dimension", ring.order, guards.order)
     zero_mask = 1 << ring.zero
-    best = 0
-
-    def extend(start: int, span: CarrierSubset, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        for k in range(start, len(nonzero)):
-            cand = nonzero[k]
-            if cand.mask & span.mask == zero_mask:
-                extend(k + 1, subgroup_sum(ring, span, cand), count + 1)
-
-    extend(0, CarrierSubset(ring.order, zero_mask), 0)
-    return best
+    principal = {ideal_closure(ring, [x], "left").mask for x in range(ring.order) if x != ring.zero}
+    span = CarrierSubset(ring.order, zero_mask)
+    count = 0
+    for m in sorted(principal):
+        if m & span.mask == zero_mask:
+            span = subgroup_sum(ring, span, CarrierSubset(ring.order, m))
+            count += 1
+    return count
 
 
 # -- quotients, products, opposite ---------------------------------------
@@ -913,5 +921,9 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
 
 
 def opposite(ring: FiniteRing) -> FiniteRing:
-    """Same carrier and addition, multiplication reversed; an involution."""
-    return FiniteRing(ring.order, ring.np_add, ring.np_mul.T, ring.zero, ring.one, ring.names)
+    """Same carrier and addition, multiplication reversed; an involution.
+
+    The identity map is an anti-isomorphism R -> R^op, so R^op satisfies
+    every law that R does, and Light's test is not run on it.
+    """
+    return _proved_ring(ring.np_add, ring.np_mul.T, ring.zero, ring.one, ring.names)

@@ -1,6 +1,5 @@
 """Command line behavior: verbs, exit codes, formats, batch determinism."""
 
-import dataclasses
 import io
 import json
 import os
@@ -138,7 +137,7 @@ def test_deep_nesting_exit_code(tmp_path):
     deep = _nested(2000)
     code, out = _run(["info", deep])
     assert code == 2 and out.startswith("parse error:")
-    work = (deep, ("profile",), "json", dataclasses.astuple(DEFAULT_GUARDS))
+    work = (deep, ("profile",), "json", DEFAULT_GUARDS)
     assert _batch_entry(work)["status"] == "parse"
     manifest = tmp_path / "deep.txt"
     manifest.write_text(f"ring zmod(4)\nring {deep}\n")
@@ -177,6 +176,16 @@ def test_ring_file_obeys_the_order_guard(tmp_path):
     code, out = _run(["batch", "--manifest", str(manifest), "--jobs", "1"])
     assert code == 3 and "error (guard): ring file" in out
     assert _run(["check-axioms", str(path), "--guard-order", "300"])[0] == 0
+
+
+def test_batch_workers_receive_the_guards(tmp_path):
+    # the Guards object itself goes to each worker process, overrides included
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("ring zmod(2)\nring zmod(6)\nanalysis axioms\n")
+    code, out = _run(["batch", "--manifest", str(manifest), "--jobs", "2", "--guard-order", "4"])
+    assert code == 3
+    assert "error (guard): zmod(6): size 6 exceeds guard 4" in out
+    assert "axioms: ok" in out  # zmod(2) fits the guard
 
 
 def test_guard_env_override(monkeypatch):

@@ -16,11 +16,13 @@ import pytest
 
 import orelab.rings as rings
 from orelab import (
+    DEFAULT_CATALOG,
     FiniteRing,
     InternalInconsistency,
     construct,
     from_tables,
     localization_profile,
+    opposite,
     run_laws,
 )
 from orelab.cli import run
@@ -121,3 +123,24 @@ def test_derived_rings_never_run_the_axiom_check(monkeypatch):
     assert callers  # caller input is still validated
     derived = {"quotient", "build_fraction_ring", "direct_product"}
     assert [names & derived for names in callers if names & derived] == []
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
+def test_opposite_is_the_validated_transpose(spec):
+    # the identity R -> R^op is an anti-isomorphism, so opposite skips
+    # Light's test; the oracle runs it on the transposed table
+    ring = construct(spec)
+    op = opposite(ring)
+    oracle = FiniteRing(ring.order, ring.np_add, ring.np_mul.T, ring.zero, ring.one, ring.names)
+    assert op == oracle and op.names == oracle.names
+    assert not op.np_mul.flags.writeable and op.np_mul.flags.c_contiguous
+    back = opposite(op)
+    assert back == ring and back.names == ring.names
+
+
+def test_opposite_never_runs_the_axiom_check(monkeypatch, t2f2):
+    def refuse(self):
+        raise AssertionError("the axiom check ran on an opposite ring")
+
+    monkeypatch.setattr(FiniteRing, "_validate", refuse)
+    assert opposite(opposite(t2f2)) == t2f2

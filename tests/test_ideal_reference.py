@@ -3,6 +3,8 @@
 The reference below uses Python sets and the tuple tables only: an ideal
 is the least set holding 0 and the generators that is closed under +,
 under x -> r*x (left, two-sided) and under x -> x*r (right, two-sided).
+The uniform dimension is checked against a backtracking search over
+every family of independent left ideals.
 """
 
 import random
@@ -12,12 +14,16 @@ import pytest
 
 from orelab import (
     DEFAULT_CATALOG,
+    CarrierSubset,
+    Guards,
+    SizeGuardExceeded,
     construct,
     from_tables,
     ideal_closure,
     left_ideals,
     minimal_primes,
     two_sided_ideals,
+    uniform_dimension,
 )
 from orelab.rings import subgroup_sum
 
@@ -122,3 +128,53 @@ def test_minimal_primes_stay_within_square_tables():
     assert [sorted(p) for p in primes] == [list(range(0, 128, 2))]
     # one n*n*n int64 table alone is 16.8 MB
     assert peak < 4_000_000
+
+
+def _uniform_dimension_by_search(ring):
+    """Largest k with k nonzero left ideals forming a direct sum in R, by
+    backtracking over every family of independent left ideals."""
+    nonzero = [i for i in left_ideals(ring, Guards(left_ideals=ring.order)) if len(i) > 1]
+    zero_mask = 1 << ring.zero
+    best = 0
+
+    def extend(start, span, count):
+        nonlocal best
+        best = max(best, count)
+        for k in range(start, len(nonzero)):
+            cand = nonzero[k]
+            if cand.mask & span.mask == zero_mask:
+                extend(k + 1, subgroup_sum(ring, span, cand), count + 1)
+
+    extend(0, CarrierSubset(ring.order, zero_mask), 0)
+    return best
+
+
+@pytest.mark.parametrize("label,ring", CASES, ids=[c[0] for c in CASES])
+def test_uniform_dimension_matches_the_search(label, ring):
+    assert uniform_dimension(ring) == _uniform_dimension_by_search(ring)
+
+
+# semiprime rings above order 64, whose profiles once skipped the Goldie
+# route, and a ring with a nonzero Jacobson radical
+@pytest.mark.parametrize(
+    "spec",
+    ["matrix(gf(3),2)", "product(gf(4),gf(8),gf(5))", "zmod(210)", "upper_triangular(gf(2),3)"],
+)
+def test_uniform_dimension_matches_the_search_above_order_64(spec):
+    ring = construct(spec)
+    for r in (ring, _relabelled(ring, random.Random(spec))):
+        assert uniform_dimension(r) == _uniform_dimension_by_search(r)
+
+
+def test_uniform_dimension_of_eight_fields():
+    # the search takes seconds here; R is the direct sum of its 8 fields
+    ring = construct("product(" + ",".join(["gf(2)"] * 8) + ")")
+    assert uniform_dimension(ring) == 8
+
+
+def test_uniform_dimension_obeys_the_order_guard():
+    # the left-ideal guard no longer applies: no left lattice is walked
+    ring = construct("zmod(20)")
+    assert uniform_dimension(ring, Guards(order=20, left_ideals=4)) == 2
+    with pytest.raises(SizeGuardExceeded, match="uniform dimension: size 20 exceeds guard 16"):
+        uniform_dimension(ring, Guards(order=16))

@@ -93,3 +93,9 @@ def test_component_law_does_not_hide_internal_errors(monkeypatch):
     _, check = LAW_REGISTRY["A3Dec12"]
     with pytest.raises(InternalInconsistency, match="injected"):
         check(ctx)
+
+
+def test_four_way_equivalence_applies_above_order_64():
+    (result,) = run_laws(construct("matrix(gf(3),2)"), ["3Dec12"])
+    assert result.applicable and result.holds
+    assert result.detail.startswith("all four statements are False")

@@ -231,3 +231,15 @@ def test_route_4_refuses_a_sigma_that_is_not_bijective(monkeypatch, z6):
     )
     with pytest.raises(InternalInconsistency, match="largest quotient"):
         localization_profile(z6)
+
+
+@pytest.mark.parametrize(
+    "spec,localizable",
+    [("matrix(gf(3),2)", False), ("product(gf(4),gf(8),gf(5))", True), ("zmod(210)", True)],
+)
+def test_semiprime_rings_above_order_64_get_full_verdicts(spec, localizable):
+    # the Goldie route runs under the default guards at every order they allow
+    verdict = localization_profile(construct(spec)).verdict
+    assert verdict.partial is False
+    assert [r.ran for r in verdict.routes] == [True] * 4
+    assert verdict.localizable is localizable
