@@ -7,7 +7,10 @@ sense that matters (their fraction rings exist and are isomorphic to the
 original ones).  ``MulSet`` is the strict notion used in reports.
 
 The predicates are gathers on the numpy table ``ring.np_mul``, and a
-failure's witness is the first one in lexicographic order.  Callers in
+failure's witness is the first one in lexicographic order.
+``mul_closure`` closes a member vector by doubling, also by gathers; a
+scalar walk runs only to name the product chain of a closure that
+reaches zero.  Callers in
 the package reach ``ass`` and ``is_left_denominator`` through
 ``rings.once`` with a ring and a ``CarrierSubset``, so each runs once per
 (ring, set) in an analysis.
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, NotDenominator, NotOre, ZeroAbsorbed
 from .rings import CarrierSubset, FiniteRing, is_two_sided_ideal, mask_members, members_mask
-from .rings import once, one_analysis, opposite
+from .rings import doubling_closure, once, one_analysis, opposite
 
 __all__ = [
     "MulSet",
@@ -151,13 +154,33 @@ def closure_escape(ring: FiniteRing, elems: CarrierSubset) -> tuple[int, int] | 
 def mul_closure(ring: FiniteRing, generators: Iterable[int]) -> MulSet:
     """Smallest multiplicative set containing the generators and one.
 
-    Raises ZeroAbsorbed with a product chain when zero is reachable.
+    The member vector is closed by doubling on ``np_mul``, as the
+    additive closure of the ideal layer is on ``np_add``.  Raises
+    ZeroAbsorbed with a product chain when zero is reachable; only then
+    does the scalar walk ``_zero_chain`` run, to find that chain.
     """
     gens = [int(g) for g in generators]
     for g in gens:
         if not 0 <= g < ring.order:
             raise ValueError(f"generator {g} outside carrier")
-    mul = [None] * ring.order  # the members' rows, read as lists for the scalar BFS
+    members = np.zeros(ring.order, dtype=bool)
+    members[[ring.one, *gens]] = True
+    doubling_closure(ring.np_mul, members)
+    if members[ring.zero]:
+        raise ZeroAbsorbed(_zero_chain(ring, gens))
+    return MulSet(ring, CarrierSubset(ring.order, members_mask(members)))
+
+
+def _zero_chain(ring: FiniteRing, gens: list[int]) -> list[tuple[int, int, int]]:
+    """The product chain by which the closure of gens and one reaches zero.
+
+    A breadth-first walk: each new member is multiplied by every earlier
+    one on both sides, and each product not yet met records the pair that
+    made it first.  The chain lists the steps of zero's derivation, each
+    factor a generator, one or the product of an earlier step; a zero
+    generator is the one step (0, one, 0).
+    """
+    mul = [None] * ring.order  # the members' rows, read as lists
     mul[ring.one] = ring.np_mul[ring.one].tolist()
     members = [ring.one]
     seen = 1 << ring.one
@@ -175,7 +198,7 @@ def mul_closure(ring: FiniteRing, generators: Iterable[int]) -> MulSet:
         if (seen >> x) & 1:
             continue
         if x == ring.zero:
-            raise ZeroAbsorbed(chain_to(x) or [(x, ring.one, x)])
+            return chain_to(x) or [(x, ring.one, x)]
         seen |= 1 << x
         members.append(x)
         mul[x] = ring.np_mul[x].tolist()
@@ -185,9 +208,7 @@ def mul_closure(ring: FiniteRing, generators: Iterable[int]) -> MulSet:
                 if not (seen >> p) & 1 and p not in parents:
                     parents[p] = (a, b)
                     queue.append(p)
-    if (seen >> ring.zero) & 1:
-        raise ZeroAbsorbed(chain_to(ring.zero))
-    return MulSet(ring, CarrierSubset(ring.order, seen))
+    raise InternalInconsistency("the closure by doubling reached zero, the scalar walk did not")
 
 
 def ass(ring_or_mulset, setlike=None) -> CarrierSubset:

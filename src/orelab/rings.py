@@ -69,6 +69,7 @@ __all__ = [
     "regular_elements",
     "is_division_ring",
     "ideal_closure",
+    "principal_ideals",
     "is_additive_subgroup",
     "is_left_ideal",
     "is_right_ideal",
@@ -442,22 +443,30 @@ def members_mask(members: np.ndarray) -> int:
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
 
 
-def _additive_closure(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
-    """Close a boolean member vector under addition in place; 0 joins for free.
+def doubling_closure(table: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Close a boolean member vector in place under the operation of table.
 
-    Doubling H <- H + H (which contains H, as 0 is in H) reaches every sum
-    of k generators after log2(k) rounds, and a finite set closed under +
-    contains negatives, so this is the additive subgroup generated.
+    Doubling H <- H u H*H, one gather per round, reaches every product of
+    k members after log2(k) rounds.
     """
-    members[ring.zero] = True
     size = int(members.sum())
     while True:
         idx = members.nonzero()[0]
-        members[ring.np_add[idx[:, None], idx]] = True
+        members[table[idx[:, None], idx]] = True
         grown = int(members.sum())
         if grown == size:
             return members
         size = grown
+
+
+def _additive_closure(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
+    """Close a boolean member vector under addition in place; 0 joins for free.
+
+    A finite set closed under + contains negatives, so this is the
+    additive subgroup generated.
+    """
+    members[ring.zero] = True
+    return doubling_closure(ring.np_add, members)
 
 
 def additive_generators(ring: FiniteRing, sub: CarrierSubset) -> list[int]:
@@ -548,6 +557,33 @@ def ideal_closure(ring: FiniteRing, generators: Iterable[int], side: str = "two"
     return CarrierSubset(n, members_mask(_additive_closure(ring, members)))
 
 
+def principal_ideals(ring: FiniteRing, side: str = "two") -> list[int]:
+    """The mask of the principal ideal of every element, in element order.
+
+    For a unit u, R*(u*x) = R*x, as x = u^-1*(u*x); likewise (x*u)*R = x*R.
+    So every element of the orbit U*x (left), x*U (right) or U*x*U (two)
+    generates the ideal of x, and one ``ideal_closure`` per orbit gives
+    them all.  An orbit is marked by one ``np_mul`` gather.
+    """
+    n, M = ring.order, ring.np_mul
+    U = mask_members(n, units(ring).mask).nonzero()[0]
+    out = [0] * n  # 0 is no ideal's mask, as every ideal holds zero
+    for x in range(n):
+        if out[x]:
+            continue
+        m = ideal_closure(ring, [x], side).mask
+        orbit = np.zeros(n, dtype=bool)
+        if side == "left":
+            orbit[M[U, x]] = True
+        elif side == "right":
+            orbit[M[x, U]] = True
+        else:
+            orbit[M[M[U, x][:, None], U]] = True
+        for y in orbit.nonzero()[0].tolist():
+            out[y] = m
+    return out
+
+
 def additive_subgroups(ring: FiniteRing, guard: int | None = None) -> list[CarrierSubset]:
     """All additive subgroups, grown one generator at a time from {0}.
 
@@ -588,10 +624,12 @@ def _ideal_lattice(ring: FiniteRing, side: str) -> list[CarrierSubset]:
     A sum of ideals is an ideal, and every ideal is a sum of the
     principal ideals of its elements, so growing one principal ideal at
     a time reaches the whole lattice without touching the (much larger)
-    additive subgroup lattice.
+    additive subgroup lattice.  The distinct principal ideals come from
+    ``principal_ideals``, one closure per unit orbit, in the order of
+    their first generator.
     """
     n = ring.order
-    principal = dict.fromkeys(ideal_closure(ring, [x], side).mask for x in range(n))
+    principal = dict.fromkeys(principal_ideals(ring, side))
     # each ideal becomes a member index array once; a sum is one np_add gather
     gens = [(m, mask_members(n, m).nonzero()[0]) for m in principal]
     root = 1 << ring.zero
@@ -695,12 +733,14 @@ def uniform_dimension(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> int:
     meets any left ideal in 0 or in L, so summing each one that the span
     so far misses counts the summands.  Walking the principal ideals in
     increasing mask order keeps the others out: each contains a minimal
-    L, whose mask is smaller, so by its turn L lies in the span.
+    L, whose mask is smaller, so by its turn L lies in the span.  The
+    principal left ideals come from ``principal_ideals``, one closure per
+    orbit U*x of the unit group.
     """
     if ring.order > guards.order:
         raise SizeGuardExceeded("uniform dimension", ring.order, guards.order)
     zero_mask = 1 << ring.zero
-    principal = {ideal_closure(ring, [x], "left").mask for x in range(ring.order) if x != ring.zero}
+    principal = set(principal_ideals(ring, "left")) - {zero_mask}
     span = CarrierSubset(ring.order, zero_mask)
     count = 0
     for m in sorted(principal):

@@ -4,7 +4,8 @@ The reference below uses Python sets and the tuple tables only: an ideal
 is the least set holding 0 and the generators that is closed under +,
 under x -> r*x (left, two-sided) and under x -> x*r (right, two-sided).
 The uniform dimension is checked against a backtracking search over
-every family of independent left ideals.
+every family of independent left ideals, and ``principal_ideals``, one
+closure per unit orbit, against one ``ideal_closure`` per element.
 """
 
 import random
@@ -25,7 +26,7 @@ from orelab import (
     two_sided_ideals,
     uniform_dimension,
 )
-from orelab.rings import subgroup_sum
+from orelab.rings import principal_ideals, subgroup_sum
 
 SIDES = ("left", "right", "two")
 
@@ -106,6 +107,17 @@ def test_ideal_layer_matches_the_definition(label, ring):
         assert got == sorted(got, key=lambda s: (len(s), s.mask))
         assert {frozenset(i) for i in got} == _naive_lattice(ring, side)
         assert len(got) == len({i.mask for i in got})
+
+
+EIGHT_FIELDS = "product(" + ",".join(["gf(2)"] * 8) + ")"
+PRINCIPAL_CASES = CASES + [(spec, construct(spec)) for spec in ("zmod(256)", "matrix(gf(4),2)", EIGHT_FIELDS)]
+
+
+@pytest.mark.parametrize("label,ring", PRINCIPAL_CASES, ids=[c[0] for c in PRINCIPAL_CASES])
+def test_principal_ideals_match_one_closure_per_element(label, ring):
+    for side in SIDES:
+        want = [ideal_closure(ring, [x], side).mask for x in range(ring.order)]
+        assert principal_ideals(ring, side) == want, side
 
 
 def _divisor_count(n):

@@ -8,6 +8,7 @@ from collections import Counter
 from orelab import construct, largest_left_quotient, localization_profile, run_laws, save_ring_file
 from orelab import localize, maxden, oresets, rings
 from orelab.cli import run
+from orelab.laws import LawContext
 
 
 def _patch_everywhere(monkeypatch, original, wrapper):
@@ -197,3 +198,44 @@ def test_ass_and_denominator_test_run_once_per_ring_and_set_in_an_analysis(monke
         rings.once(fn, z12, u)
         rings.once(fn, z12, u)
         assert len(calls) == 3
+
+
+def _record_closures(monkeypatch, fn) -> list:
+    calls = []
+
+    def recording(ring, generators, *args):
+        generators = list(generators)
+        calls.append((sys._getframe(1).f_code.co_name, generators))
+        return fn(ring, generators, *args)
+
+    _patch_everywhere(monkeypatch, fn, recording)
+    return calls
+
+
+def test_principal_ideals_close_once_per_unit_orbit(monkeypatch):
+    calls = _record_closures(monkeypatch, rings.ideal_closure)
+    want = {"zmod(256)": {"left": 9, "right": 9, "two": 9}, "matrix(gf(4),2)": {"left": 7, "right": 7, "two": 3}}
+    for spec, counts in want.items():
+        ring = construct(spec)
+        for side, count in counts.items():
+            calls.clear()
+            rings.principal_ideals(ring, side)
+            assert len(calls) == count, f"{spec} {side}: {len(calls)} closures"
+
+
+def test_semigroup_products_close_each_union_once(monkeypatch):
+    ring = construct("zmod(12)")
+    dens = LawContext(ring).denominator_sets
+    unions = {
+        s.mask | t.mask
+        for s in dens
+        for t in dens
+        if oresets.ass(ring, s).issubset(oresets.ass(ring, t))
+    }
+    calls = _record_closures(monkeypatch, oresets.mul_closure)
+    [result] = run_laws(ring, ids=["1a27Nov12"])
+    assert result.holds
+    # the context's closures of single elements are not the law's own
+    by_law = [gens for caller, gens in calls if caller == "_check_denominator_semigroup_products"]
+    masks = [sum(1 << g for g in set(gens)) for gens in by_law]
+    assert len(by_law) == len(unions) and set(masks) == unions

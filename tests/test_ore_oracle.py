@@ -4,7 +4,9 @@ The predicates of ``orelab.oresets`` and the ideal tests ``_absorbs`` and
 ``is_additive_subgroup`` are gathers on the numpy tables.  The references
 below are the earlier scans over the tuple tables ``ring.add`` and
 ``ring.mul``, kept here as an oracle.  On every set of the corpus the two
-must give the same verdicts, witnesses, subsets and messages.
+must give the same verdicts, witnesses, subsets and messages.  The
+scalar breadth-first walk that ``mul_closure`` replaced by doubling is
+kept the same way: closures and ``ZeroAbsorbed`` chains must match it.
 
 A finite ring is left Noetherian, so every left Ore set of the corpus is
 also left reversible and the reversibility witness is never exercised;
@@ -256,3 +258,59 @@ def test_ideal_tests(spec):
         assert is_additive_subgroup(ring, sub) == _is_additive_subgroup(ring, m)
         for left, right in ((True, False), (False, True), (True, True)):
             assert _absorbs(ring, m, left, right) == _absorbs_loop(ring, m, left, right)
+
+
+# -- the scalar closure walk, kept as a reference ------------------------------
+
+
+def _scalar_closure(ring, gens):
+    """The breadth-first walk mul_closure once was: the closure's mask, or
+    the ZeroAbsorbed chain when zero is reached."""
+    mul = ring.mul
+    members = [ring.one]
+    seen = 1 << ring.one
+    parents = {}
+    queue = [g for g in gens if not (seen >> g) & 1]
+
+    def chain_to(e):
+        if e not in parents:
+            return []
+        x, y = parents[e]
+        return chain_to(x) + chain_to(y) + [(x, y, e)]
+
+    while queue:
+        x = queue.pop(0)
+        if (seen >> x) & 1:
+            continue
+        if x == ring.zero:
+            return chain_to(x) or [(x, ring.one, x)]
+        seen |= 1 << x
+        members.append(x)
+        for m in list(members):
+            for a, b in ((x, m), (m, x)):
+                p = mul[a][b]
+                if not (seen >> p) & 1 and p not in parents:
+                    parents[p] = (a, b)
+                    queue.append(p)
+    return seen
+
+
+def _closure_or_chain(ring, gens):
+    try:
+        return mul_closure(ring, gens).mask
+    except ZeroAbsorbed as e:
+        return list(e.chain)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
+def test_closures_match_the_scalar_walk(spec):
+    ring = construct(spec)
+    rng = random.Random(f"ore-oracle/closures/{spec}")
+    gen_lists = [[x] for x in range(ring.order)]
+    gen_lists += [rng.sample(range(ring.order), 2) for _ in range(30)]
+    absorbed = 0
+    for gens in gen_lists:
+        want = _scalar_closure(ring, gens)
+        assert _closure_or_chain(ring, gens) == want, gens
+        absorbed += isinstance(want, list)
+    assert absorbed  # zero is a generator, so some closure absorbs it

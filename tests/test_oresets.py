@@ -1,8 +1,11 @@
 """Ore/denominator predicates, annihilators, cores, saturation."""
 
+import random
+
 import pytest
 
 from orelab import (
+    DEFAULT_CATALOG,
     CarrierSubset,
     MulSet,
     NotOre,
@@ -37,6 +40,39 @@ def test_mul_closure(z6):
     with pytest.raises(ZeroAbsorbed) as exc:
         mul_closure(z6, [2, 3])  # 2*3 = 0
     assert exc.value.chain  # parent chain names the product that died
+
+
+def _assert_derivation(ring, gens, chain):
+    """Each step (x, y, x*y) multiplies generators, one or earlier products,
+    and the last product is zero."""
+    assert chain
+    made = {ring.one, *gens}
+    for x, y, p in chain:
+        assert x in made and y in made, (x, y, p)
+        assert p == ring.np_mul[x, y]
+        made.add(p)
+    assert chain[-1][2] == ring.zero
+
+
+def test_zero_absorbed_chains_are_derivations():
+    z256 = construct("zmod(256)")
+    for gens in ([2], [2, 3]):
+        with pytest.raises(ZeroAbsorbed) as exc:
+            mul_closure(z256, gens)
+        _assert_derivation(z256, gens, exc.value.chain)
+    rng = random.Random("zero-chains")
+    absorbed = 0
+    for spec in DEFAULT_CATALOG:
+        ring = construct(spec)
+        gen_lists = [[x] for x in range(ring.order)]
+        gen_lists += [rng.sample(range(ring.order), 2) for _ in range(20)]
+        for gens in gen_lists:
+            try:
+                mul_closure(ring, gens)
+            except ZeroAbsorbed as e:
+                _assert_derivation(ring, gens, e.chain)
+                absorbed += 1
+    assert absorbed > len(DEFAULT_CATALOG)  # beyond the zero generator of each ring
 
 
 def test_z6_reference_set(z6):
