@@ -17,6 +17,7 @@ tables, files and hashes are reproducible:
 from __future__ import annotations
 
 import hashlib
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,10 +388,49 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"{what}: {tok!r} is not an integer")
 
 
+def _numpy_table(rows: list[str], order: int) -> np.ndarray | None:
+    """The rows as an order-by-order int64 table when numpy reads every
+    row as exactly ``order`` integers, else None.
+
+    A row with a sign is left to the exact parser: numpy reads ``- 3`` as
+    one integer, where ``int`` refuses the token ``-``.  Without signs,
+    numpy's whitespace is a subset of ``str.split``'s and every token it
+    accepts is a run of digits, so a row numpy reads in full has the same
+    tokens and values as under ``int``.  An entry too large for int64
+    saturates, and the closure check refuses it where the exact parser's
+    -1 is refused.  numpy 2 raises on a row it cannot read to its end,
+    numpy 1 warns and returns a partial row, so a warning is a miss too."""
+    out = np.empty((order, order), dtype=np.int64)
+    # warnings are recorded, not raised: the filter is process-wide, and a
+    # warning from another thread must not become an error there
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        for i, row in enumerate(rows):
+            if "-" in row or "+" in row:
+                return None
+            try:
+                values = np.fromstring(row, dtype=np.int64, sep=" ")
+            except ValueError:
+                return None
+            if warned or values.shape != (order,):
+                return None
+            out[i] = values
+    return out
+
+
 def load_ring_file(path: str, guards: Guards = DEFAULT_GUARDS) -> FiniteRing:
     """Read a ring file; structural problems raise ParseError with the
     offending line, mathematical ones surface as AxiomViolation, and an
-    order above the guard raises SizeGuardExceeded before any table is read."""
+    order above the guard raises SizeGuardExceeded before any table is read.
+
+    Each table is read by numpy row by row (``_numpy_table``).  On any
+    miss (a short or long row, a sign, a token numpy cannot read, a file
+    that ends early) the whole table is read again by the exact parser,
+    which splits each row on whitespace and reads each token with
+    ``int``.  The two paths give the same tables for every file numpy
+    reads, and every ParseError about a table comes from the exact
+    parser, so a file loads to the same ring, or fails with the same
+    message, on either.  Light's test runs on the tables either way."""
     try:
         with open(path, encoding="ascii") as fh:
             raw = fh.read()
@@ -415,18 +455,33 @@ def load_ring_file(path: str, guards: Guards = DEFAULT_GUARDS) -> FiniteRing:
             raise ParseError(lineno, f"expected '{key} <integer>', got {line!r}")
         return _parse_int(parts[1], lineno, key)
 
+    def identity_index(key: str) -> int:
+        idx = keyword_value(key)
+        if not 0 <= idx < order:
+            raise ParseError(pos, f"identity index {idx} outside 0..{order - 1}")
+        return idx
+
     order = keyword_value("order")
     if order < 2:
         raise ParseError(pos, "order must be at least 2")
     if order > guards.order:
         raise SizeGuardExceeded(f"ring file {path}", order, guards.order)
-    one = keyword_value("one")
-    zero = keyword_value("zero")
+    one = identity_index("one")
+    zero = identity_index("zero")
 
-    def table(key: str) -> list[list[int]]:
+    def table(key: str) -> np.ndarray | list[list[int]]:
+        nonlocal pos
         lineno, line = next_line(key)
         if line != key:
             raise ParseError(lineno, f"expected {key!r} header, got {line!r}")
+        start = pos
+        try:
+            fast = _numpy_table([next_line(f"{key} row")[1] for _ in range(order)], order)
+        except ParseError:
+            fast = None
+        if fast is not None:
+            return fast
+        pos = start
         rows = []
         for _ in range(order):
             lineno, line = next_line(f"{key} row")
@@ -453,15 +508,17 @@ def load_ring_file(path: str, guards: Guards = DEFAULT_GUARDS) -> FiniteRing:
         toks = tuple(line.split())
         if len(toks) != order:
             raise ParseError(lineno, f"names row has {len(toks)} entries, expected {order}")
+        seen: set[str] = set()
+        for name in toks:
+            if name in seen:
+                raise ParseError(lineno, f"names row repeats the name {name!r}")
+            seen.add(name)
         names = toks
         while pos < len(lines):
             if lines[pos].strip():
                 raise ParseError(pos + 1, f"unexpected trailing content {lines[pos].strip()!r}")
             pos += 1
 
-    for idx in (one, zero):
-        if not 0 <= idx < order:
-            raise ParseError(0, f"identity index {idx} outside 0..{order - 1}")
     return FiniteRing(order, add, mul, zero, one, names)
 
 

@@ -9,6 +9,7 @@ check failed, 2 usage or parse error, 3 a size guard refused the work.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,7 +330,10 @@ def _run_batch(args, guards: Guards, stdout) -> int:
 # -- argument handling ----------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one argparse parser, built on the first run of a process;
+    parsing leaves it unchanged, so every later run reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--guard-order", type=int, default=None, metavar="N")
@@ -394,15 +398,18 @@ def run(argv=None, stdout=None) -> int:
         return _run_batch(args, guards, stdout)
 
     exit_code = 0
+    as_json = args.format == "json"
     try:
         ring = _load_target(args.target, guards)
+        # each verb builds only the requested format: a JSON doc or the text
         if args.verb == "info":
             ideals = two_sided_ideals(ring, guards)
-            doc = _info_doc(args.target, ring, ideals)
-            text = _render_info(args.target, ring, ideals)
+            out = (_info_doc if as_json else _render_info)(args.target, ring, ideals)
         elif args.verb == "check-axioms":
-            doc = {"target": args.target, "order": ring.order, "axioms": "ok"}
-            text = f"ring: {args.target} (order {ring.order})\naxioms: ok"
+            if as_json:
+                out = {"target": args.target, "order": ring.order, "axioms": "ok"}
+            else:
+                out = f"ring: {args.target} (order {ring.order})\naxioms: ok"
         elif args.verb == "ore":
             elems = _parse_indices(ring, args.set)
             try:
@@ -410,8 +417,7 @@ def run(argv=None, stdout=None) -> int:
             except ValueError as e:
                 raise _Usage(f"not a multiplicative set: {e}")
             rep = ore_report(mset)
-            doc = {"target": args.target, **rep.to_doc()}
-            text = _render_ore(args.target, ring, rep)
+            out = {"target": args.target, **rep.to_doc()} if as_json else _render_ore(args.target, ring, rep)
         elif args.verb == "localize":
             elems = _parse_indices(ring, args.set)
             try:
@@ -420,12 +426,13 @@ def run(argv=None, stdout=None) -> int:
                 raise _Usage(f"not a multiplicative set: {e}")
             fr = build_fraction_ring(ring, mset)
             quotient_model_isomorphism(fr)
-            doc = {"target": args.target, **fr.to_doc(), "quotient_model": "isomorphic"}
-            text = _render_localize(args.target, ring, fr)
+            if as_json:
+                out = {"target": args.target, **fr.to_doc(), "quotient_model": "isomorphic"}
+            else:
+                out = _render_localize(args.target, ring, fr)
         elif args.verb == "profile":
             prof = localization_profile(ring, guards)
-            doc = {"target": args.target, **prof.to_doc()}
-            text = _render_profile(args.target, prof)
+            out = {"target": args.target, **prof.to_doc()} if as_json else _render_profile(args.target, prof)
         elif args.verb == "verify":
             if args.theorems.strip() == "all":
                 ids = None
@@ -437,13 +444,12 @@ def run(argv=None, stdout=None) -> int:
                 if not ids:
                     raise _Usage("--theorems needs 'all' or a comma-separated id list")
             results = run_laws(ring, ids, guards)
-            doc = {
-                "target": args.target,
-                "laws": [r.to_doc() for r in results],
-                "all_hold": all(r.holds for r in results),
-            }
-            text = _render_laws(args.target, ring, results)
-            if not all(r.holds for r in results):
+            all_hold = all(r.holds for r in results)
+            if as_json:
+                out = {"target": args.target, "laws": [r.to_doc() for r in results], "all_hold": all_hold}
+            else:
+                out = _render_laws(args.target, ring, results)
+            if not all_hold:
                 exit_code = 1
         else:  # pragma: no cover - argparse restricts the verbs
             raise _Usage(f"unknown verb {args.verb!r}")
@@ -460,7 +466,7 @@ def run(argv=None, stdout=None) -> int:
         print(f"mathematical check failed: {e}", file=stdout)
         return 1
 
-    rendered = json.dumps(doc, indent=2, sort_keys=True) if args.format == "json" else text
+    rendered = json.dumps(out, indent=2, sort_keys=True) if as_json else out
     print(rendered, file=stdout)
     if args.out:
         try:

@@ -223,6 +223,8 @@ class FiniteRing:
                 raise ValueError("names length must equal order")
             if any((not x) or any(c.isspace() for c in x) for x in names):
                 raise ValueError("names must be nonempty and whitespace-free")
+            if len(set(names)) != self.order:
+                raise ValueError("names must be distinct")
         self.names = names
         self._validate()
 

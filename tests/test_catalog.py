@@ -1,11 +1,14 @@
 """Constructors, spec parsing, ring files, hashing, manifests."""
 
+import dataclasses
+
 import pytest
 
 from orelab import (
     AxiomViolation,
     BadSpec,
     DEFAULT_CATALOG,
+    FiniteRing,
     Guards,
     ParseError,
     SizeGuardExceeded,
@@ -173,6 +176,70 @@ def test_ring_file_axiom_check(tmp_path, z4):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(AxiomViolation):
         load_ring_file(str(path))
+
+
+def _edited_ring_file(tmp_path, ring, at, line):
+    path = tmp_path / "edited.ring"
+    save_ring_file(ring, str(path))
+    lines = path.read_text().splitlines()
+    lines[at] = line
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("key,at", [("one", 1), ("zero", 2)])
+@pytest.mark.parametrize("idx", [9, 4, -1])
+def test_identity_index_is_refused_at_its_keyword_line(tmp_path, z4, key, at, idx):
+    path = _edited_ring_file(tmp_path, z4, at, f"{key} {idx}")
+    with pytest.raises(ParseError) as exc:
+        load_ring_file(path)
+    assert str(exc.value) == f"line {at + 1}: identity index {idx} outside 0..3"
+
+
+def test_identity_index_is_refused_before_any_table_is_read(tmp_path):
+    path = tmp_path / "short.ring"
+    path.write_text("order 4\none 9\n")
+    with pytest.raises(ParseError) as exc:
+        load_ring_file(str(path))
+    assert str(exc.value) == "line 2: identity index 9 outside 0..3"
+
+
+@pytest.mark.parametrize("row,name", [("a a b c", "a"), ("a b c b", "b"), ("a b b a", "b")])
+def test_repeated_names_are_refused_at_the_names_line(tmp_path, z4, row, name):
+    path = _edited_ring_file(tmp_path, z4, -1, row)
+    with pytest.raises(ParseError) as exc:
+        load_ring_file(path)
+    assert str(exc.value) == f"line 15: names row repeats the name {name!r}"
+
+
+def _derived_rings(obj, seen):
+    """Every FiniteRing reachable from obj through dataclass fields,
+    slots and containers."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, FiniteRing):
+        yield obj
+        return
+    if isinstance(obj, (tuple, list)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = [*obj, *obj.values()]
+    elif dataclasses.is_dataclass(obj):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif hasattr(obj, "__slots__"):
+        children = [getattr(obj, s, None) for s in obj.__slots__]
+    else:
+        return
+    for child in children:
+        yield from _derived_rings(child, seen)
+
+
+def test_catalog_and_derived_rings_have_distinct_names(catalog_profiles):
+    rings = [r for prof in catalog_profiles.values() for r in _derived_rings(prof, set())]
+    assert len(rings) > 2 * len(catalog_profiles)  # factors and localizations were reached
+    for ring in rings:
+        assert ring.names is None or len(set(ring.names)) == ring.order, ring
 
 
 def test_manifest_parsing():

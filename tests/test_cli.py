@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from orelab import DEFAULT_GUARDS, BadSpec, Guards, construct, parse_spec, save_ring_file
+from orelab import DEFAULT_CATALOG, DEFAULT_GUARDS, BadSpec, Guards, construct, parse_spec, save_ring_file
 from orelab.cli import _batch_entry, run
 
 
@@ -284,6 +284,20 @@ def test_unknown_verb_and_missing_args():
     assert run(["ore", "zmod(6)"], stdout=io.StringIO()) == 2  # --set required
 
 
+@pytest.mark.parametrize("at,line,message", [
+    (1, "one 9", "line 2: identity index 9 outside 0..3"),
+    (-1, "a a b c", "line 15: names row repeats the name 'a'"),
+])
+def test_bad_identity_or_repeated_name_is_a_parse_error(tmp_path, z4, at, line, message):
+    path = tmp_path / "z4.ring"
+    save_ring_file(z4, str(path))
+    lines = path.read_text().splitlines()
+    lines[at] = line
+    path.write_text("\n".join(lines) + "\n")
+    code, out = _run(["check-axioms", str(path)])
+    assert (code, out) == (2, f"parse error: {message}\n")
+
+
 def test_check_axioms_oversized_entry(tmp_path, z4):
     # an entry too large for int64 is refused like any entry outside the carrier
     path = tmp_path / "oversized.ring"
@@ -301,3 +315,138 @@ def test_check_axioms_oversized_entry(tmp_path, z4):
     assert done.returncode == 1
     assert "ring axiom 'closure' fails at ('mul', 1, 1)" in done.stdout
     assert "Traceback" not in done.stderr
+
+
+# -- one parser per process, one rendering per call -------------------------
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    import argparse
+
+    from orelab import cli
+
+    made = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for argv in (["info", "zmod(4)"], ["check-axioms", "gf(4)", "--format", "json"],
+                 ["ore", "zmod(6)", "--set", "1,5"], ["info", "zmod(4)", "--bogus"],
+                 ["profile", "zmod(6)"], ["info", "zmod(4)"]):
+        _run(argv)
+    in_runs = list(made)
+    made.clear()
+    cli._build_parser.__wrapped__()
+    assert in_runs == made and "orelab" in made
+    assert cli._build_parser.cache_info().misses == 1
+
+
+INTERLEAVED = [
+    ["ore", "zmod(6)", "--set", "1,3"],
+    ["info", "gf(4)", "--format", "json"],
+    ["verify", "zmod(4)", "--theorems", "29Nov12,a4Dec12"],
+    ["profile", "zmod(6)", "--no-such-flag"],
+    ["profile", "upper_triangular(gf(2),2)"],
+    ["ore", "zmod(6)", "--set", "1,3", "--format", "json"],
+]
+
+_RUN_CALLS = """
+import contextlib, io, json, sys
+from orelab.cli import run
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, stdout=buf)
+    out.append([code, buf.getvalue(), err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_a_reused_parser_answers_as_a_fresh_process(monkeypatch):
+    # the same calls in one process, and in a fresh one in the other order
+    import contextlib
+
+    monkeypatch.setenv("COLUMNS", "80")
+    here = []
+    for argv in INTERLEAVED:
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv, stdout=buf)
+        here.append([code, buf.getvalue(), err.getvalue()])
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _RUN_CALLS, json.dumps(INTERLEAVED[::-1])],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(done.stdout)[::-1]
+    assert [c for c, _, _ in here] == [0, 0, 0, 2, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in here[3][2]
+    assert here == fresh
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_info_hashes_and_lists_units_once(monkeypatch, fmt):
+    from orelab import cli
+
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(ring):
+            calls.append(name)
+            return real(ring)
+
+        return wrapper
+
+    for name in ("canonical_hash", "units"):
+        monkeypatch.setattr(cli, name, counted(name))
+    code, out = _run(["info", "zmod(12)", "--format", fmt])
+    assert code == 0 and "canonical" in out
+    assert sorted(calls) == ["canonical_hash", "units"]
+
+
+# sha256 of every output of the six single-target verbs in both formats on
+# the catalog rings, recorded before each verb stopped building the format it
+# does not print; a deliberate change of an output must update its digest
+OUTPUT_DIGESTS = {
+    "info text": "923cafcdec83ee03c5e146a284728c2bbe664e9f3ac60f0074288eae72d2655c",
+    "info json": "832a3b5ab64c3fd11f4a0afde574c4122cb4004bfad6bd99226543a4e92f7ca2",
+    "check-axioms text": "0b79603062a76dbfd514e2abf9a5e723d5fd9579f92a761bc9d69204828a1a99",
+    "check-axioms json": "8df9996e79b6c9058d360b03d00c76951e014fd1bb26d5a0e400d7b2d92c8faa",
+    "ore text": "818b981171b0df11875f81e4f7e78e5f789f1db7ae37f9b2ed8d20fdc7576f98",
+    "ore json": "44866f2661edad8a1e3810307564692dd7dcb499fa0e622e892552561a1c1fce",
+    "localize text": "8ee4c9fe63401166e23f6fe34f8f596043a64af4415ebc668b6b5f122231824d",
+    "localize json": "b8977dcf3d62ffbc5cd76f2773f553232f307a40f18179fea8f34b10b54bf591",
+    "profile text": "f9e0d8adc8e0eb5ce8234c18edb1fb9def517c1fb7ce9eb828283a465e6f965f",
+    "profile json": "45eff0c498ba2495f6c9b857ad43fb995694061f2bddf3a7130c56bb3bf167c1",
+    "verify text": "308741a47a406c7c7b580e5d24e516b9b4b289a6aa89ed5fc6726d6e9d90d707",
+    "verify json": "e6c9929c44e480f9353ccdfcc90f7ebb2e02e944e815a013c6d40406a5733fb3",
+}
+
+
+@pytest.mark.parametrize("key", list(OUTPUT_DIGESTS))
+def test_catalog_outputs_are_unchanged(catalog_rings, catalog_profiles, key):
+    # ore and localize run at the unit group and at each maximal denominator set
+    import hashlib
+
+    from orelab import units
+
+    verb, fmt = key.split()
+    digest = hashlib.sha256()
+    for spec in DEFAULT_CATALOG:
+        if verb in ("ore", "localize"):
+            sets = [sorted(units(catalog_rings[spec]))] + [sorted(s) for s in catalog_profiles[spec].maximal]
+            argvs = [[verb, spec, "--set", ",".join(map(str, s))] for s in sets]
+        else:
+            argvs = [[verb, spec]]
+        for argv in argvs:
+            code, out = _run(argv + ["--format", fmt])
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == OUTPUT_DIGESTS[key]

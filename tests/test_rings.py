@@ -57,6 +57,14 @@ def test_bad_identity_rejected():
         from_tables(4, add, mul, zero=0, one=2)
 
 
+def test_repeated_names_rejected():
+    add = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    mul = [[(a * b) % 3 for b in range(3)] for a in range(3)]
+    with pytest.raises(ValueError, match="names must be distinct"):
+        FiniteRing(3, add, mul, 0, 1, ("0", "1", "1"))
+    assert FiniteRing(3, add, mul, 0, 1, ("0", "1", "-1")).names == ("0", "1", "-1")
+
+
 def test_carrier_subset_ops():
     s = CarrierSubset.from_indices(6, [1, 3, 5])
     t = CarrierSubset.from_indices(6, [3, 4])
