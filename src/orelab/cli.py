@@ -4,6 +4,13 @@ Verbs: info, check-axioms, ore, localize, profile, verify, batch.
 Targets are either constructor expressions like zmod(6) or paths to
 ring table files.  Exit codes: 0 all checks passed, 1 a mathematical
 check failed, 2 usage or parse error, 3 a size guard refused the work.
+
+``run`` and ``batch`` share one front door: ``_report`` builds the report
+of each verb (a batch analysis is a verb: profile, ore at the unit group,
+check-axioms), ``_FAILURES`` maps each error type to its batch status,
+exit code and message prefix, and ``_write_reports`` writes --out files.
+A batch exits with the least nonzero code among its entries: a failed
+mathematical check (1) over a parse error (2) over a size guard (3).
 """
 
 from __future__ import annotations
@@ -44,24 +51,6 @@ def _load_target(target: str, guards: Guards) -> FiniteRing:
     return construct(target, guards)
 
 
-def _parse_indices(ring: FiniteRing, text: str) -> list[int]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            val = int(tok)
-        except ValueError:
-            raise _Usage(f"element {tok!r} is not an integer index")
-        if not 0 <= val < ring.order:
-            raise _Usage(f"element {val} outside the carrier 0..{ring.order - 1}")
-        out.append(val)
-    if not out:
-        raise _Usage("--set needs at least one element")
-    return out
-
-
 def _fmt_set(ring: FiniteRing, xs) -> str:
     return "{" + ", ".join(ring.name_of(x) for x in sorted(xs)) + "}"
 
@@ -86,9 +75,8 @@ def _render_info(label: str, ring: FiniteRing, ideals: list) -> str:
     return "\n".join(lines)
 
 
-def _info_doc(label: str, ring: FiniteRing, ideals: list) -> dict:
+def _info_doc(ring: FiniteRing, ideals: list) -> dict:
     return {
-        "target": label,
         "order": ring.order,
         "zero": ring.zero,
         "one": ring.one,
@@ -181,65 +169,161 @@ def _render_laws(label: str, ring: FiniteRing, results) -> str:
     return "\n".join(lines)
 
 
+# -- one report per verb, one failure table --------------------------------
+
+
+def _parse_set(ring: FiniteRing, text: str) -> MulSet:
+    """The multiplicative set named by a --set value."""
+    elems = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
+            val = int(tok)
+        except ValueError:
+            raise _Usage(f"element {tok!r} is not an integer index")
+        if not 0 <= val < ring.order:
+            raise _Usage(f"element {val} outside the carrier 0..{ring.order - 1}")
+        elems.append(val)
+    if not elems:
+        raise _Usage("--set needs at least one element")
+    try:
+        return MulSet(ring, elems)
+    except ValueError as e:
+        raise _Usage(f"not a multiplicative set: {e}")
+
+
+def _parse_theorems(text: str) -> list[str] | None:
+    """The law ids named by a --theorems value; None for all of them."""
+    if text.strip() == "all":
+        return None
+    ids = [t.strip() for t in text.split(",") if t.strip()]
+    unknown = [t for t in ids if t not in law_ids()]
+    if unknown:
+        raise _Usage(f"unknown theorem ids: {', '.join(unknown)}")
+    if not ids:
+        raise _Usage("--theorems needs 'all' or a comma-separated id list")
+    return ids
+
+
+def _report(verb: str, label: str, ring: FiniteRing, args, guards: Guards) -> tuple:
+    """One verb's report on one ring, for ``run`` and ``batch`` alike.
+
+    Returns (out, code, found): out is the JSON doc without its target
+    under --format json, else the text, and only that format is built;
+    code is the exit code; found is the value the report was made from,
+    which batch reads its summary row off.  An ``ore`` with no --set
+    runs at the unit group.
+    """
+    as_json = args.format == "json"
+    code = 0
+    if verb == "info":
+        found = two_sided_ideals(ring, guards)
+        out = _info_doc(ring, found) if as_json else _render_info(label, ring, found)
+    elif verb == "check-axioms":
+        found = ring
+        out = {"order": ring.order, "axioms": "ok"} if as_json else f"ring: {label} (order {ring.order})\naxioms: ok"
+    elif verb == "ore":
+        found = ore_report(MulSet(ring, units(ring)) if args.set is None else _parse_set(ring, args.set))
+        out = found.to_doc() if as_json else _render_ore(label, ring, found)
+    elif verb == "localize":
+        found = build_fraction_ring(ring, _parse_set(ring, args.set))
+        quotient_model_isomorphism(found)
+        out = {**found.to_doc(), "quotient_model": "isomorphic"} if as_json else _render_localize(label, ring, found)
+    elif verb == "profile":
+        found = localization_profile(ring, guards)
+        out = found.to_doc() if as_json else _render_profile(label, found)
+    elif verb == "verify":
+        found = run_laws(ring, _parse_theorems(args.theorems), guards)
+        all_hold = all(r.holds for r in found)
+        out = {"laws": [r.to_doc() for r in found], "all_hold": all_hold} if as_json else _render_laws(label, ring, found)
+        code = 0 if all_hold else 1
+    else:  # pragma: no cover - argparse and _ANALYSES restrict the verbs
+        raise _Usage(f"unknown verb {verb!r}")
+    return out, code, found
+
+
+# How an error ends a report: (error types, batch status, exit code, message
+# prefix).  The first row that matches decides, so the subclasses of
+# OreLabError come before it.  Any other exception is a bug and propagates.
+_FAILURES = (
+    ((_Usage,), "usage", 2, "usage error"),
+    ((BadSpec, ParseError), "parse", 2, "parse error"),
+    ((SizeGuardExceeded,), "guard", 3, "size guard"),
+    ((OreLabError,), "math", 1, "mathematical check failed"),
+)
+_FAILING = tuple(t for types, *_ in _FAILURES for t in types)
+_EXIT_CODES = {status: code for _, status, code, _ in _FAILURES}
+
+
+def _failure(e: Exception) -> tuple[str, int, str]:
+    """The (batch status, exit code, message prefix) of a caught error."""
+    return next(row[1:] for row in _FAILURES if isinstance(e, row[0]))
+
+
+def _write_reports(out_dir: str, fmt: str, reports: dict, stdout) -> bool:
+    """Write each report as ``out_dir/<stem>.txt`` (or ``.json``) with a final
+    newline; if one cannot be written, say so on stdout and return False."""
+    ext = "json" if fmt == "json" else "txt"
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for stem, text in reports.items():
+            with open(os.path.join(out_dir, f"{stem}.{ext}"), "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except OSError as e:
+        print(f"cannot write report: {e}", file=stdout)
+        return False
+    return True
+
+
+def _slug(spec: str) -> str:
+    return "".join(c if c.isalnum() else "-" for c in spec).strip("-")
+
+
 # -- batch ----------------------------------------------------------------
 
 
 _SUMMARY_HEADER = ("ring", "order", "|maxDen_l|", "|ll_R|", "localizable?", "decomposable?")
 
+# manifest analysis -> (the verb that reports it, its key in a JSON entry)
+_ANALYSES = {
+    "profile": ("profile", "profile"),
+    "ore-report": ("ore", "ore_report"),
+    "axioms": ("check-axioms", "axioms"),
+}
+
 
 def _batch_entry(work: tuple) -> dict:
     """Analyze one manifest entry; run in a worker process."""
     spec, analyses, fmt, guards = work
-    out: dict = {"target": spec, "status": "ok"}
+    args = argparse.Namespace(format=fmt, set=None)
     sections: list[str] = []
     docs: dict = {}
     try:
         ring = _load_target(spec, guards)
+        row = (spec, str(ring.order), "-", "-", "-", "-")
         for analysis in analyses:
-            if analysis == "profile":
-                prof = localization_profile(ring, guards)
-                dec = prof.decomposition
-                out["row"] = (
-                    spec,
-                    str(ring.order),
-                    str(len(prof.maximal)),
-                    str(len(prof.radical)),
-                    _yesno(prof.verdict.localizable),
-                    _yesno(dec.succeeded),
+            verb, key = _ANALYSES[analysis]
+            out, _, found = _report(verb, spec, ring, args, guards)
+            if verb == "profile":
+                row = row[:2] + (
+                    str(len(found.maximal)),
+                    str(len(found.radical)),
+                    _yesno(found.verdict.localizable),
+                    _yesno(found.decomposition.succeeded),
                 )
-                if fmt == "json":
-                    docs["profile"] = prof.to_doc()
-                else:
-                    sections.append(_render_profile(spec, prof))
-            elif analysis == "ore-report":
-                rep = ore_report(MulSet(ring, units(ring)))
-                if fmt == "json":
-                    docs["ore_report"] = rep.to_doc()
-                else:
-                    sections.append(_render_ore(spec, ring, rep))
-            elif analysis == "axioms":
-                if fmt == "json":
-                    docs["axioms"] = {"ok": True, "order": ring.order}
-                else:
-                    sections.append(f"ring: {spec} (order {ring.order})\naxioms: ok")
-        if "row" not in out:
-            out["row"] = (spec, str(ring.order), "-", "-", "-", "-")
-    except SizeGuardExceeded as e:
-        out["status"] = "guard"
-        out["error"] = str(e)
-    except (BadSpec, ParseError) as e:
-        out["status"] = "parse"
-        out["error"] = str(e)
-    except OreLabError as e:
-        out["status"] = "math"
-        out["error"] = str(e)
-    if out["status"] != "ok":
-        out["row"] = (spec, "-", "-", "-", "-", "-")
-        sections = [f"error ({out['status']}): {out['error']}"]
-        docs = {}
-    out["report"] = "\n\n".join(sections)
-    out["docs"] = docs
-    return out
+            if fmt != "json":
+                sections.append(out)
+            elif verb == "check-axioms":
+                docs[key] = {"ok": out["axioms"] == "ok", "order": out["order"]}
+            else:
+                docs[key] = out
+    except _FAILING as e:
+        status = _failure(e)[0]
+        return {"target": spec, "status": status, "error": str(e), "row": (spec,) + ("-",) * 5,
+                "report": f"error ({status}): {e}", "docs": {}}
+    return {"target": spec, "status": "ok", "row": row, "report": "\n\n".join(sections), "docs": docs}
 
 
 def _render_summary(rows: list[tuple]) -> str:
@@ -251,10 +335,6 @@ def _render_summary(rows: list[tuple]) -> str:
     return "\n".join(lines)
 
 
-def _slug(spec: str) -> str:
-    return "".join(c if c.isalnum() else "-" for c in spec).strip("-")
-
-
 def _run_batch(args, guards: Guards, stdout) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -262,9 +342,10 @@ def _run_batch(args, guards: Guards, stdout) -> int:
     except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read manifest: {e}", file=stdout)
         return 2
-    except ParseError as e:
-        print(f"parse error: {e}", file=stdout)
-        return 2
+    except _FAILING as e:
+        _, code, prefix = _failure(e)
+        print(f"{prefix}: {e}", file=stdout)
+        return code
     jobs = args.jobs if args.jobs is not None else (manifest.jobs or 1)
     out_dir = args.out or manifest.out
 
@@ -278,18 +359,12 @@ def _run_batch(args, guards: Guards, stdout) -> int:
     rows = [e["row"] for e in entries]
     if args.format == "json":
         doc = {
-            "entries": [
-                {
-                    "target": e["target"],
-                    "status": e["status"],
-                    **({"error": e["error"]} if "error" in e else {}),
-                    **e["docs"],
-                }
-                for e in entries
-            ],
+            "entries": [{k: e[k] for k in ("target", "status", "error") if k in e} | e["docs"] for e in entries],
             "summary": [dict(zip(_SUMMARY_HEADER, r)) for r in rows],
         }
         text = json.dumps(doc, indent=2, sort_keys=True)
+        files = [json.dumps({"target": e["target"], "status": e["status"], **e["docs"]}, indent=2, sort_keys=True)
+                 for e in entries]
     else:
         parts = [f"== {e['target']} ==\n{e['report']}" for e in entries]
         failed = sum(1 for e in entries if e["status"] != "ok")
@@ -297,34 +372,16 @@ def _run_batch(args, guards: Guards, stdout) -> int:
         if failed:
             parts.append(f"{failed} of {len(entries)} entries failed")
         text = "\n\n".join(parts)
+        files = [e["report"] for e in entries]
     print(text, file=stdout)
 
     if out_dir:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            ext = "json" if args.format == "json" else "txt"
-            for i, e in enumerate(entries):
-                path = os.path.join(out_dir, f"{i:03d}_{_slug(e['target'])}.{ext}")
-                with open(path, "w", encoding="utf-8") as fh:
-                    if args.format == "json":
-                        json.dump({"target": e["target"], "status": e["status"], **e["docs"]}, fh, indent=2, sort_keys=True)
-                        fh.write("\n")
-                    else:
-                        fh.write(e["report"] + "\n")
-            with open(os.path.join(out_dir, f"summary.{ext}"), "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as e:
-            print(f"cannot write report: {e}", file=stdout)
+        reports = {f"{i:03d}_{_slug(e['target'])}": f for i, (e, f) in enumerate(zip(entries, files))}
+        reports["summary"] = text
+        if not _write_reports(out_dir, args.format, reports, stdout):
             return 2
-
-    statuses = {e["status"] for e in entries}
-    if "math" in statuses:
-        return 1
-    if "parse" in statuses:
-        return 2
-    if "guard" in statuses:
-        return 3
-    return 0
+    # the least nonzero code: a math failure over a parse error over a guard
+    return min((_EXIT_CODES[e["status"]] for e in entries if e["status"] != "ok"), default=0)
 
 
 # -- argument handling ----------------------------------------------------
@@ -367,14 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_single_report(out_dir: str, verb: str, label: str, text: str, fmt: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    ext = "json" if fmt == "json" else "txt"
-    path = os.path.join(out_dir, f"{verb}_{_slug(label)}.{ext}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
 def run(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
     parser = _build_parser()
@@ -397,83 +446,19 @@ def run(argv=None, stdout=None) -> int:
             return 2
         return _run_batch(args, guards, stdout)
 
-    exit_code = 0
-    as_json = args.format == "json"
     try:
         ring = _load_target(args.target, guards)
-        # each verb builds only the requested format: a JSON doc or the text
-        if args.verb == "info":
-            ideals = two_sided_ideals(ring, guards)
-            out = (_info_doc if as_json else _render_info)(args.target, ring, ideals)
-        elif args.verb == "check-axioms":
-            if as_json:
-                out = {"target": args.target, "order": ring.order, "axioms": "ok"}
-            else:
-                out = f"ring: {args.target} (order {ring.order})\naxioms: ok"
-        elif args.verb == "ore":
-            elems = _parse_indices(ring, args.set)
-            try:
-                mset = MulSet(ring, elems)
-            except ValueError as e:
-                raise _Usage(f"not a multiplicative set: {e}")
-            rep = ore_report(mset)
-            out = {"target": args.target, **rep.to_doc()} if as_json else _render_ore(args.target, ring, rep)
-        elif args.verb == "localize":
-            elems = _parse_indices(ring, args.set)
-            try:
-                mset = MulSet(ring, elems)
-            except ValueError as e:
-                raise _Usage(f"not a multiplicative set: {e}")
-            fr = build_fraction_ring(ring, mset)
-            quotient_model_isomorphism(fr)
-            if as_json:
-                out = {"target": args.target, **fr.to_doc(), "quotient_model": "isomorphic"}
-            else:
-                out = _render_localize(args.target, ring, fr)
-        elif args.verb == "profile":
-            prof = localization_profile(ring, guards)
-            out = {"target": args.target, **prof.to_doc()} if as_json else _render_profile(args.target, prof)
-        elif args.verb == "verify":
-            if args.theorems.strip() == "all":
-                ids = None
-            else:
-                ids = [t.strip() for t in args.theorems.split(",") if t.strip()]
-                unknown = [t for t in ids if t not in law_ids()]
-                if unknown:
-                    raise _Usage(f"unknown theorem ids: {', '.join(unknown)}")
-                if not ids:
-                    raise _Usage("--theorems needs 'all' or a comma-separated id list")
-            results = run_laws(ring, ids, guards)
-            all_hold = all(r.holds for r in results)
-            if as_json:
-                out = {"target": args.target, "laws": [r.to_doc() for r in results], "all_hold": all_hold}
-            else:
-                out = _render_laws(args.target, ring, results)
-            if not all_hold:
-                exit_code = 1
-        else:  # pragma: no cover - argparse restricts the verbs
-            raise _Usage(f"unknown verb {args.verb!r}")
-    except _Usage as e:
-        print(f"usage error: {e}", file=stdout)
-        return 2
-    except (BadSpec, ParseError) as e:
-        print(f"parse error: {e}", file=stdout)
-        return 2
-    except SizeGuardExceeded as e:
-        print(f"size guard: {e}", file=stdout)
-        return 3
-    except OreLabError as e:
-        print(f"mathematical check failed: {e}", file=stdout)
-        return 1
+        out, exit_code, _ = _report(args.verb, args.target, ring, args, guards)
+    except _FAILING as e:
+        _, code, prefix = _failure(e)
+        print(f"{prefix}: {e}", file=stdout)
+        return code
 
-    rendered = json.dumps(out, indent=2, sort_keys=True) if as_json else out
-    print(rendered, file=stdout)
-    if args.out:
-        try:
-            _write_single_report(args.out, args.verb, args.target, rendered, args.format)
-        except OSError as e:
-            print(f"cannot write report: {e}", file=stdout)
-            return 2
+    if args.format == "json":
+        out = json.dumps({"target": args.target, **out}, indent=2, sort_keys=True)
+    print(out, file=stdout)
+    if args.out and not _write_reports(args.out, args.format, {f"{args.verb}_{_slug(args.target)}": out}, stdout):
+        return 2
     return exit_code
 
 

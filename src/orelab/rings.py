@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -71,8 +72,6 @@ __all__ = [
     "ideal_closure",
     "principal_ideals",
     "is_additive_subgroup",
-    "is_left_ideal",
-    "is_right_ideal",
     "is_two_sided_ideal",
     "subgroup_sum",
     "quotient",
@@ -99,11 +98,17 @@ def _bit_indices(mask: int) -> Iterator[int]:
 
 
 class CarrierSubset:
-    """A subset of {0..n-1} stored as a bitmask; immutable by convention."""
+    """A subset of {0..n-1} stored as a bitmask; immutable by convention.
+
+    The mask and every index pass through ``operator.index``, so a numpy
+    integer acts as the Python int it holds (an int64 shift would wrap and
+    an int64 mask has no ``bit_length``), and a float raises ``TypeError``.
+    """
 
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, mask: int = 0):
+        mask = operator.index(mask)
         if n <= 0:
             raise ValueError("carrier size must be positive")
         if mask < 0 or mask >> n:
@@ -114,7 +119,7 @@ class CarrierSubset:
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "CarrierSubset":
         mask = 0
-        for i in indices:
+        for i in map(operator.index, indices):
             if not 0 <= i < n:
                 raise ValueError(f"index {i} outside carrier of size {n}")
             mask |= 1 << i
@@ -132,6 +137,7 @@ class CarrierSubset:
         return tuple(_bit_indices(self.mask))
 
     def __contains__(self, i: int) -> bool:
+        i = operator.index(i)
         return 0 <= i < self.n and (self.mask >> i) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
@@ -509,14 +515,6 @@ def _absorbs(ring: FiniteRing, mask: int, left: bool, right: bool):
     i, r, side = (int(v) for v in np.unravel_index(escapes.argmax(), escapes.shape))
     h = int(H[i])
     return (h, r) if side else (r, h)
-
-
-def is_left_ideal(ring: FiniteRing, sub: CarrierSubset) -> bool:
-    return is_additive_subgroup(ring, sub) and _absorbs(ring, sub.mask, True, False) is None
-
-
-def is_right_ideal(ring: FiniteRing, sub: CarrierSubset) -> bool:
-    return is_additive_subgroup(ring, sub) and _absorbs(ring, sub.mask, False, True) is None
 
 
 def is_two_sided_ideal(ring: FiniteRing, sub: CarrierSubset) -> bool:

@@ -450,3 +450,47 @@ def test_catalog_outputs_are_unchanged(catalog_rings, catalog_profiles, key):
             code, out = _run(argv + ["--format", fmt])
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == OUTPUT_DIGESTS[key]
+
+
+# sha256 of batch over the catalog plus a guard entry and an entry that fails
+# to build, with all three analyses, in both formats with --out, recorded
+# before run and batch came to share one report function per verb
+BATCH_DIGEST = "429de85c8e9e4fa1071270a7ea0db3aa57a21af6d2468746a06911c19c8cec90"
+
+
+def test_catalog_batch_outputs_are_unchanged(tmp_path):
+    import hashlib
+
+    manifest = tmp_path / "catalog.txt"
+    specs = list(DEFAULT_CATALOG) + ["matrix(gf(3),3)", "zmod(1)"]
+    manifest.write_text("".join(f"ring {s}\n" for s in specs)
+                        + "analysis profile\nanalysis ore-report\nanalysis axioms\n")
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        out_dir = tmp_path / fmt
+        code, out = _run(["batch", "--manifest", str(manifest), "--format", fmt, "--out", str(out_dir)])
+        assert code == 2
+        digest.update(f"{code}\n{out}".encode())
+        for name in sorted(os.listdir(out_dir)):
+            digest.update((out_dir / name).read_bytes())
+    assert digest.hexdigest() == BATCH_DIGEST
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_exit_code_prefers_math_then_parse_then_guard(tmp_path, z4, jobs):
+    broken = tmp_path / "broken.ring"
+    save_ring_file(z4, str(broken))
+    lines = broken.read_text().splitlines()
+    at = lines.index("mul") + 3  # the row of 2
+    row = lines[at].split()
+    row[-1] = "1" if row[-1] != "1" else "2"
+    lines[at] = " ".join(row)
+    broken.write_text("\n".join(lines) + "\n")
+    specs = [f"file({broken})", "zmod(1)", "matrix(gf(3),3)", "zmod(4)"]
+    manifest = tmp_path / "m.txt"
+    for first, want in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        manifest.write_text("".join(f"ring {s}\n" for s in specs[first:]))
+        code, out = _run(["batch", "--manifest", str(manifest), "--jobs", jobs])
+        assert code == want, out
+        failed = 3 - first
+        assert (f"{failed} of {4 - first} entries failed" in out) == (failed > 0)

@@ -11,6 +11,7 @@ from orelab import (
     CarrierSubset,
     FiniteRing,
     Guards,
+    MulSet,
     RingMap,
     SizeGuardExceeded,
     canonical_hash,
@@ -76,6 +77,29 @@ def test_carrier_subset_ops():
     assert len(CarrierSubset.full(6)) == 6
     assert not CarrierSubset.empty(6)
     assert s != CarrierSubset.from_indices(7, [1, 3, 5])  # different carrier
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_carrier_subset_takes_numpy_integers(n):
+    idx = list(range(1, n, 3))
+    py = CarrierSubset.from_indices(n, idx)
+    for numpy_idx in (np.array(idx), [np.int64(i) for i in idx]):
+        assert CarrierSubset.from_indices(n, numpy_idx) == py
+    low = py.mask & (2**63 - 1)
+    assert str(CarrierSubset(n, np.int64(low))) == str(CarrierSubset(n, low))
+    assert str(CarrierSubset.from_indices(n, np.array(idx))) == str(py)
+    for i in range(n):
+        assert (np.int64(i) in py) == (i in py) == (i % 3 == 1)
+    with pytest.raises(TypeError):
+        CarrierSubset.from_indices(n, [1.0])
+    with pytest.raises(TypeError):
+        1.0 in py
+
+
+def test_numpy_elements_make_the_unit_group_of_zmod_128():
+    ring = construct("zmod(128)")
+    assert np.int64(3) in units(ring)
+    assert MulSet(ring, np.arange(1, 128, 2)).elements == units(ring)
 
 
 def test_units_and_regular_elements(z6, z4, t2f2, m2f2):
