@@ -76,6 +76,10 @@ class RingSpec:
         return f"{self.kind}({','.join(parts)})"
 
 
+# A literal longer than this is refused before int() sees it: no ring that
+# the guards let through needs one, and int() refuses 4300 digits.
+_MAX_DIGITS = 18
+
 _KINDS = ("zmod", "gf", "matrix", "upper_triangular", "product", "quotient", "opposite", "file")
 
 
@@ -117,6 +121,9 @@ class _SpecParser:
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
+        if self.pos - start > _MAX_DIGITS:
+            self.pos = start
+            self.error(f"integer literal longer than {_MAX_DIGITS} digits")
         return int(self.text[start:self.pos])
 
     def int_list(self) -> tuple:
@@ -274,14 +281,14 @@ def _gf(q: int) -> FiniteRing:
 def _matrix_ring(base: FiniteRing, k: int, upper: bool, guards: Guards) -> FiniteRing:
     if k < 1:
         raise BadSpec("matrix size must be at least 1")
-    if upper:
-        positions = [(i, j) for i in range(k) for j in range(i, k)]
-    else:
-        positions = [(i, j) for i in range(k) for j in range(k)]
-    m = len(positions)
-    order = base.order**m
-    if order > guards.order:
-        raise SizeGuardExceeded(f"matrix ring of order {base.order}^{m}", order, guards.order)
+    q, m = base.order, k * (k + 1) // 2 if upper else k * k
+    # q >= 2, so q^m passes the guard once m reaches the guard's bit length:
+    # q^m is formed only below that, and named in full only below 2^60
+    if m >= guards.order.bit_length() or q**m > guards.order:
+        size = q**m if m * q.bit_length() <= 60 else f"{q}^{m}"
+        raise SizeGuardExceeded(f"matrix ring of order {q}^{m}", size, guards.order)
+    order = q**m
+    positions = [(i, j) for i in range(k) for j in range(i if upper else 0, k)]
     radices = [base.order] * m
     strides, digits = radix_digits(radices)
     # entry[i][j][x] is the (i, j) entry of matrix x; zero off the stored positions
@@ -336,7 +343,15 @@ def _build(spec: RingSpec, guards: Guards) -> FiniteRing:
         base = _build(spec.args[0], guards)
         return _matrix_ring(base, spec.args[1], kind == "upper_triangular", guards)
     if kind == "product":
-        factors = [_build(a, guards) for a in spec.args]
+        # stop building factors once the running size passes the guard; at
+        # the last factor the refusal is direct_product's
+        factors, size = [], 1
+        for a in spec.args:
+            factors.append(_build(a, guards))
+            size *= factors[-1].order
+            if size > guards.order and len(factors) < len(spec.args):
+                what = f"direct product of the first {len(factors)} of {len(spec.args)} factors"
+                raise SizeGuardExceeded(what, size, guards.order)
         return direct_product(*factors, guards=guards).ring
     if kind == "quotient":
         base = _build(spec.args[0], guards)

@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .catalog import canonical_hash, construct, load_ring_file, parse_manifest
 from .errors import (
@@ -351,20 +350,20 @@ def _run_batch(args, guards: Guards, stdout) -> int:
 
     work = [(spec, manifest.analyses, args.format, guards) for spec in manifest.specs]
     if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = list(pool.map(_batch_entry, work))
     else:
         entries = [_batch_entry(w) for w in work]
 
     rows = [e["row"] for e in entries]
+    # files are generators: a report file's text is built only when --out writes it
     if args.format == "json":
-        doc = {
-            "entries": [{k: e[k] for k in ("target", "status", "error") if k in e} | e["docs"] for e in entries],
-            "summary": [dict(zip(_SUMMARY_HEADER, r)) for r in rows],
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        files = [json.dumps({"target": e["target"], "status": e["status"], **e["docs"]}, indent=2, sort_keys=True)
-                 for e in entries]
+        docs = [{k: e[k] for k in ("target", "status", "error") if k in e} | e["docs"] for e in entries]
+        text = json.dumps({"entries": docs, "summary": [dict(zip(_SUMMARY_HEADER, r)) for r in rows]},
+                          indent=2, sort_keys=True)
+        files = (json.dumps(d, indent=2, sort_keys=True) for d in docs)
     else:
         parts = [f"== {e['target']} ==\n{e['report']}" for e in entries]
         failed = sum(1 for e in entries if e["status"] != "ok")
@@ -372,7 +371,7 @@ def _run_batch(args, guards: Guards, stdout) -> int:
         if failed:
             parts.append(f"{failed} of {len(entries)} entries failed")
         text = "\n\n".join(parts)
-        files = [e["report"] for e in entries]
+        files = (e["report"] for e in entries)
     print(text, file=stdout)
 
     if out_dir:

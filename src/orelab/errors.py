@@ -7,6 +7,7 @@ by inspecting the error.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -40,13 +41,26 @@ class ImproperIdeal(OreLabError):
 
 
 class SizeGuardExceeded(OreLabError):
-    """An enumeration would exceed its configured size guard."""
+    """An enumeration would exceed its configured size guard.
 
-    def __init__(self, what: str, actual: int, limit: int):
+    ``actual`` is the size, or a form such as ``"4^9801"`` where the number
+    is too large to compute.  The message writes an int past 18 digits by
+    its digit count, as Python refuses to format one past 4300 digits.
+    """
+
+    def __init__(self, what: str, actual: int | str, limit: int):
         self.what = what
         self.actual = actual
         self.limit = limit
-        super().__init__(f"{what}: size {actual} exceeds guard {limit}")
+        super().__init__(f"{what}: size {_size_text(actual)} exceeds guard {limit}")
+
+
+def _size_text(size: int | str) -> str:
+    if isinstance(size, str) or size < 10**18:
+        return str(size)
+    d = int(math.log10(size))  # floor(log10(size)), up to float rounding
+    d += (10 ** (d + 1) <= size) - (10**d > size)
+    return f"of {d + 1} digits"
 
 
 class ZeroAbsorbed(OreLabError):

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, NotDenominator, SizeGuardExceeded, ZeroAbsorbed
 from .localize import build_fraction_ring, core_transfer_isomorphism, largest_left_quotient, quotient_model_isomorphism
 from .maxden import (
@@ -32,20 +30,20 @@ from .oresets import ass, core, is_left_denominator, is_left_ore, mul_closure, r
 from .rings import (
     CarrierSubset,
     FiniteRing,
-    RingMap,
     direct_product,
-    induced_map,
     is_division_ring,
     is_semiprime,
     mask_members,
-    members_mask,
     once,
     one_analysis,
     quotient,
+    r_isomorphism,
     subgroup_sum,
+    table_image,
     two_sided_ideals,
     unit_pullback,
     units,
+    zero_ideal,
 )
 
 __all__ = ["LawResult", "LawContext", "LAW_REGISTRY", "run_laws", "law_ids"]
@@ -152,15 +150,19 @@ def _unit_inverses(ring: FiniteRing) -> dict[int, int]:
     return dict(zip(u.tolist(), v.tolist()))
 
 
-def _products(ring: FiniteRing, xs, ys) -> CarrierSubset:
-    """{x*y : x in xs, y in ys}, by one gather."""
-    members = np.zeros(ring.order, dtype=bool)
-    members[ring.np_mul[np.asarray(xs, dtype=np.intp)[:, None], np.asarray(ys, dtype=np.intp)]] = True
-    return CarrierSubset(ring.order, members_mask(members))
-
-
-def _zero_subset(ring: FiniteRing) -> CarrierSubset:
-    return CarrierSubset.from_indices(ring.order, [ring.zero])
+def _fraction_unit_problems(A: FiniteRing, mapped: list[int]) -> list[str]:
+    """The statements that fail of: A's units are generated by the units
+    in mapped and their inverses, and are exactly the fractions u^-1 * v
+    with u and v in mapped."""
+    inv = _unit_inverses(A)
+    inverses = [inv[g] for g in mapped]
+    a_units = units(A)
+    problems = []
+    if mul_closure(A, mapped + inverses).elements != a_units:
+        problems.append("units are not generated by the mapped set and its inverses")
+    if table_image(A.np_mul, inverses, mapped) != a_units:
+        problems.append("units are not exactly the two-element fractions of the set")
+    return problems
 
 
 def _check_largest_quotient_unit_structure(ctx: LawContext):
@@ -176,14 +178,7 @@ def _check_largest_quotient_unit_structure(ctx: LawContext):
     if sig.preimage(lq2.regular_set.elements) != lq.regular_set.elements:
         problems.append("pullback of the quotient's regular set is not the base regular set")
 
-    inv = _unit_inverses(A)
-    mapped = [sig(s) for s in lq.regular_set]
-    inverses = [inv[g] for g in mapped]
-    if mul_closure(A, mapped + inverses).elements != a_units:
-        problems.append("units are not generated by the mapped denominators and their inverses")
-
-    if _products(A, inverses, mapped) != a_units:
-        problems.append("units are not exactly the two-element fractions")
+    problems += _fraction_unit_problems(A, [sig(s) for s in lq.regular_set])
 
     if not lq2.fractions.sigma.is_bijective():
         problems.append("localizing the quotient again moved it")
@@ -281,11 +276,9 @@ def _check_product_lifting(ctx: LawContext):
         fr_p = once(build_fraction_ring, p_ring, lifted)
         fr_i = once(build_fraction_ring, factor, s_i.elements)
         try:
-            theta = induced_map(fr_p.sigma, fr_i.sigma.compose(proj))
+            r_isomorphism(fr_p.sigma, fr_i.sigma.compose(proj))
         except ValueError as e:
-            return False, True, f"slot {slot} localization comparison fails: {e}"
-        if not theta.is_bijective():
-            return False, True, f"slot {slot} localizations are not R-isomorphic"
+            return False, True, f"slot {slot} localizations are not R-isomorphic: {e}"
 
         want_core = CarrierSubset.from_indices(p_ring.order, (emb[x] for x in core(factor, s_i)))
         if core(p_ring, lifted) != want_core:
@@ -308,7 +301,7 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
     n = len(factors)
     problems = []
 
-    lifted = [proj.preimage(units(f)) for proj, f in zip(prod.projections, factors)]
+    lifted = [unit_pullback(proj) for proj in prod.projections]
     if {s.mask for s in lifted} != {s.mask for s in p_profile.maximal}:
         problems.append("maximal sets are not the lifted unit groups")
 
@@ -326,28 +319,25 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
         quotient_model_isomorphism(fr)
         proj_i = once(quotient, p_ring, fr.sigma.kernel())[1]
         try:
-            if not induced_map(proj_i, prod.projections[i]).is_bijective():
-                problems.append(f"factor {i} quotient is not the factor itself")
+            r_isomorphism(proj_i, prod.projections[i])
         except ValueError as e:
-            problems.append(f"factor {i} quotient map fails: {e}")
+            problems.append(f"factor {i} quotient is not the factor itself: {e}")
 
-    if p_profile.radical != _zero_subset(p_ring):
+    if p_profile.radical != zero_ideal(p_ring):
         problems.append("product has a nonzero localization radical")
     dec_p = once(product_decomposition, p_ring, ctx.guards)
     if not (dec_p.succeeded and dec_p.n_factors == n and dec_p.iso.is_bijective()):
         problems.append("coordinate map of the product is not an isomorphism")
 
-    inter = full.mask
-    uni = 0
-    for s in lifted:
-        inter &= s.mask
-        uni |= s.mask
-    if CarrierSubset(p_ring.order, inter) != units(p_ring):
+    inter = CarrierSubset.meet(p_ring.order, lifted)
+    if inter != units(p_ring):
         problems.append("completely localizable elements differ from the unit group")
-    if CarrierSubset(p_ring.order, inter) != p_profile.completely_localizable:
+    if inter != p_profile.completely_localizable:
         problems.append("intersection of lifted sets differs from the profile")
 
-    some_unit = CarrierSubset(p_ring.order, uni)
+    some_unit = CarrierSubset.empty(p_ring.order)
+    for s in lifted:
+        some_unit = some_unit | s
     if some_unit != p_profile.localizable:
         problems.append("localizable elements are not the tuples with a unit coordinate")
     if p_profile.non_localizable != some_unit.complement():
@@ -373,7 +363,7 @@ def _check_splitting_round_trip(ctx: LawContext):
     entries = ctx.entries
     full = CarrierSubset.full(ring.order)
 
-    c2 = ctx.profile.radical == _zero_subset(ring)
+    c2 = ctx.profile.radical == zero_ideal(ring)
     c3 = all(
         subgroup_sum(ring, entries[i][0], entries[j][0]) == full
         for i in range(len(entries))
@@ -450,11 +440,9 @@ def _check_maximal_localization_properties(ctx: LawContext):
         if not lqq.fractions.sigma.is_bijective():
             return False, True, "largest quotient of the factor moved"
         try:
-            m = induced_map(lqq.fractions.sigma, theta)
+            r_isomorphism(lqq.fractions.sigma, theta)
         except ValueError as e:
-            return False, True, f"comparison with the quotient's largest quotient fails: {e}"
-        if not m.is_bijective():
-            return False, True, "localization is not the largest quotient of the factor"
+            return False, True, f"localization is not the largest quotient of the factor: {e}"
 
         a_units = set(units(A))
         lqa = once(largest_left_quotient, A)
@@ -466,18 +454,14 @@ def _check_maximal_localization_properties(ctx: LawContext):
         if unit_pullback(fr.sigma).mask != s.mask:
             return False, True, "set is not the unit preimage under the canonical map"
 
-        inv = _unit_inverses(A)
-        mapped = [theta(proj(x)) for x in s]
-        inverses = [inv[g] for g in mapped]
-        if set(mul_closure(A, mapped + inverses)) != a_units:
-            return False, True, "units are not generated by the projected set"
-        if set(_products(A, inverses, mapped)) != a_units:
-            return False, True, "units are not the two-element fractions of the set"
+        problems = _fraction_unit_problems(A, [theta(proj(x)) for x in s])
+        if problems:
+            return False, True, "; ".join(problems)
 
         if not once(is_localization_maximal, A, ctx.guards):
             return False, True, "maximal localization is not localization maximal"
         fam_a = once(saturated_denominator_sets, A, ctx.guards)
-        zero_a = _zero_subset(A)
+        zero_a = zero_ideal(A)
         for b, t in fam_a.items():
             if b == zero_a and not CarrierSubset(A.order, t.mask).issubset(units(A)):
                 return False, True, "a faithful denominator set of the localization escapes its units"
@@ -505,11 +489,11 @@ def _check_division_dichotomy(ctx: LawContext):
 def _check_three_way_localizability(ctx: LawContext):
     ring = ctx.ring
     prof = ctx.profile
-    nonzero = CarrierSubset.full(ring.order) - _zero_subset(ring)
+    nonzero = CarrierSubset.full(ring.order) - zero_ideal(ring)
     s1 = prof.localizable == nonzero
 
     divisions = [is_division_ring(fr.ring) for fr in prof.localizations]
-    s2 = prof.radical == _zero_subset(ring) and all(divisions)
+    s2 = prof.radical == zero_ideal(ring) and all(divisions)
 
     tuples = [tuple(fr.sigma(r) for fr in prof.localizations) for r in range(ring.order)]
     injective = len(set(tuples)) == ring.order
@@ -522,15 +506,11 @@ def _check_three_way_localizability(ctx: LawContext):
 
 def _cross_annihilator_sets(ctx: LawContext) -> list[CarrierSubset]:
     ring = ctx.ring
-    out = []
-    n = len(ctx.entries)
-    for i in range(n):
-        mask = (1 << ring.order) - 1
-        for j in range(n):
-            if j != i:
-                mask &= ctx.entries[j][0].mask
-        out.append(CarrierSubset(ring.order, mask & ~(1 << ring.zero)))
-    return out
+    asses = [a for a, _, _ in ctx.entries]
+    return [
+        CarrierSubset.meet(ring.order, asses[:i] + asses[i + 1 :]) - zero_ideal(ring)
+        for i in range(len(asses))
+    ]
 
 
 def _check_cross_annihilator_intersections(ctx: LawContext):
@@ -539,9 +519,9 @@ def _check_cross_annihilator_intersections(ctx: LawContext):
     if len(ctx.entries) < 2:
         return True, False, "fewer than two maximal sets"
     crosses = _cross_annihilator_sets(ctx)
+    zero = zero_ideal(ctx.ring)
     for i, (a, s, _) in enumerate(ctx.entries):
-        lhs = CarrierSubset(ctx.ring.order, s.mask & (crosses[i].mask | (1 << ctx.ring.zero)))
-        if lhs != crosses[i]:
+        if s.elements & (crosses[i] | zero) != crosses[i]:
             return False, True, f"set {i} does not meet the other annihilators in their nonzero part"
         if not crosses[i]:
             return False, True, f"cross intersection {i} is empty"
@@ -567,19 +547,17 @@ def _check_isolated_component_denominators(ctx: LawContext):
         except (ValueError, NotDenominator) as e:
             return False, True, f"component localization {i} failed: {e}"
         try:
-            theta = induced_map(cfr.sigma, fr.sigma)
+            r_isomorphism(cfr.sigma, fr.sigma)
         except ValueError as e:
-            return False, True, f"component {i} transfer fails: {e}"
-        if not theta.is_bijective():
-            return False, True, f"component localization {i} is not R-isomorphic to the maximal one"
+            return False, True, f"component localization {i} is not R-isomorphic to the maximal one: {e}"
 
-    csum = _zero_subset(ring)
+    csum = zero_ideal(ring)
     for ci in crosses:
         csum = subgroup_sum(ring, csum, ci)
     verdict = once(is_left_denominator, ring, csum)
     if not verdict.holds:
         return False, True, f"summed component set is not a denominator set at {verdict.witness}"
-    if once(ass, ring, csum) != _zero_subset(ring):
+    if once(ass, ring, csum) != zero_ideal(ring):
         return False, True, "summed component set has a nonzero annihilator"
     try:
         sfr = once(build_fraction_ring, ring, csum)
@@ -588,19 +566,10 @@ def _check_isolated_component_denominators(ctx: LawContext):
     if not sfr.sigma.is_bijective():
         return False, True, "summed component localization does not cover the ring"
     prod = direct_product(*(fr.ring for _, _, fr in ctx.entries), guards=ctx.guards)
-    enc = tuple(
-        prod.encode([fr.sigma(r) for _, _, fr in ctx.entries]) for r in range(ring.order)
-    )
     try:
-        sig_p = RingMap(ring, prod.ring, enc)
+        r_isomorphism(sfr.sigma, prod.coordinate_map([fr.sigma for _, _, fr in ctx.entries]))
     except ValueError as e:
-        return False, True, f"coordinate map is not a homomorphism: {e}"
-    try:
-        m = induced_map(sfr.sigma, sig_p)
-    except ValueError as e:
-        return False, True, f"comparison with the product fails: {e}"
-    if not m.is_bijective():
-        return False, True, "summed component localization is not the product of the maximal ones"
+        return False, True, f"summed component localization is not the product of the maximal ones: {e}"
     return True, True, f"verified {len(crosses)} component sets and their sum"
 
 
@@ -616,10 +585,8 @@ def _check_irredundant_division_presentation(ctx: LawContext):
         fr = once(build_fraction_ring, ring, s.elements)
         if is_division_ring(fr.ring):
             division_asses.append(a)
-    joint = (1 << ring.order) - 1
-    for a in division_asses:
-        joint &= a.mask
-    presentation_exists = bool(division_asses) and CarrierSubset(ring.order, joint) == _zero_subset(ring)
+    joint = CarrierSubset.meet(ring.order, division_asses)
+    presentation_exists = bool(division_asses) and joint == zero_ideal(ring)
     if presentation_exists != loc:
         return (
             False,
@@ -649,7 +616,7 @@ def _check_four_way_localizability(ctx: LawContext):
 
 def _check_regular_set_transport(ctx: LawContext):
     ring = ctx.ring
-    zero = _zero_subset(ring)
+    zero = zero_ideal(ring)
     faithful = [sub for sub in ctx.denominator_sets if once(ass, ring, sub) == zero]
     if not faithful:
         return False, True, "no faithful denominator sets found (the unit group must be one)"
@@ -681,11 +648,9 @@ def _check_regular_set_transport(ctx: LawContext):
         t_set = CarrierSubset(A.order, transported[s.mask])
         afr = once(build_fraction_ring, A, t_set)
         try:
-            m = induced_map(fr.sigma, afr.sigma.compose(tfr.sigma))
+            r_isomorphism(fr.sigma, afr.sigma.compose(tfr.sigma))
         except ValueError as e:
-            return False, True, f"transported localization comparison fails: {e}"
-        if not m.is_bijective():
-            return False, True, "localizing before or after transport differs"
+            return False, True, f"localizing before or after transport differs: {e}"
     return True, True, f"identity correspondence through a faithful set of size {len(t_sub)}"
 
 
@@ -711,8 +676,8 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
 
     prod = direct_product(*dec.factors, guards=ctx.guards)
     pullbacks = {
-        dec.iso.preimage(proj.preimage(units(f))).mask: i
-        for i, (proj, f) in enumerate(zip(prod.projections, dec.factors))
+        dec.iso.preimage(unit_pullback(proj)).mask: i
+        for i, proj in enumerate(prod.projections)
     }
     if set(pullbacks) != {s.mask for _, s, _ in ctx.entries}:
         return False, True, "maximal sets are not the pullbacks of factor-unit tuples"
@@ -720,11 +685,9 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
     for a, s, fr in ctx.entries:
         i = pullbacks[s.mask]
         try:
-            m = induced_map(fr.sigma, prod.projections[i].compose(dec.iso))
+            r_isomorphism(fr.sigma, prod.projections[i].compose(dec.iso))
         except ValueError as e:
-            return False, True, f"comparison with simple factor {i} fails: {e}"
-        if not m.is_bijective():
-            return False, True, f"maximal localization is not the simple factor {i}"
+            return False, True, f"maximal localization is not the simple factor {i}: {e}"
     return True, True, f"{len(dec.factors)} simple factors match the maximal sets"
 
 
@@ -801,7 +764,7 @@ def _check_core_formula(ctx: LawContext):
     n = len(ctx.entries)
     if n == 1:
         a, s, _ = ctx.entries[0]
-        nonzero = CarrierSubset.full(ring.order) - _zero_subset(ring)
+        nonzero = CarrierSubset.full(ring.order) - zero_ideal(ring)
         if CarrierSubset(ring.order, s.mask) != nonzero:
             return False, True, "single maximal set is not everything nonzero"
         if core(ring, s) != nonzero:

@@ -37,12 +37,13 @@ from .rings import (
     FiniteRing,
     RingMap,
     _image_ring,
-    induced_map,
     once,
     quotient,
+    r_isomorphism,
     regular_elements,
     unit_pullback,
     units,
+    zero_ideal,
 )
 
 __all__ = [
@@ -222,7 +223,10 @@ def quotient_model_isomorphism(fr: FractionRing) -> RingMap:
     because on finite rings this comparison is forced by theory.
     """
     proj = once(quotient, fr.base, fr.sigma.kernel())[1]
-    return _r_isomorphism(proj, fr.sigma, "quotient model map")
+    try:
+        return r_isomorphism(proj, fr.sigma)
+    except ValueError as e:
+        raise InternalInconsistency(f"quotient model map is not an R-isomorphism: {e}") from e
 
 
 def core_transfer_isomorphism(fr: FractionRing) -> tuple[FractionRing, RingMap]:
@@ -232,18 +236,10 @@ def core_transfer_isomorphism(fr: FractionRing) -> tuple[FractionRing, RingMap]:
     if not c:
         raise InternalInconsistency("a left Ore set on a finite ring has an empty core")
     cfr = once(build_fraction_ring, ring, c)
-    return cfr, _r_isomorphism(cfr.sigma, fr.sigma, "core transfer map")
-
-
-def _r_isomorphism(f: RingMap, g: RingMap, what: str) -> RingMap:
-    """induced_map(f, g), which theory forces to be an R-isomorphism."""
     try:
-        theta = induced_map(f, g)
+        return cfr, r_isomorphism(cfr.sigma, fr.sigma)
     except ValueError as e:
-        raise InternalInconsistency(f"{what} is not an R-isomorphism: {e}") from e
-    if not theta.is_bijective():
-        raise InternalInconsistency(f"{what} is not an R-isomorphism")
-    return theta
+        raise InternalInconsistency(f"core transfer map is not an R-isomorphism: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -266,9 +262,8 @@ def largest_left_quotient(ring: FiniteRing) -> LargestQuotient:
     equal the unit group and the regular elements, and both identities
     are asserted.
     """
-    zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
     u = units(ring)
-    if unit_pullback(once(quotient, ring, zero_ideal)[1]) != u:
+    if unit_pullback(once(quotient, ring, zero_ideal(ring))[1]) != u:
         raise InternalInconsistency("unit pullback through R/0 differs from the unit group")
     if regular_elements(ring) != u:
         raise InternalInconsistency("regular elements differ from units on a finite ring")

@@ -10,6 +10,7 @@ and cross-checked against an independent route wherever one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Iterator
 
 from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, SizeGuardExceeded
@@ -32,6 +33,7 @@ from .rings import (
     uniform_dimension,
     unit_pullback,
     units,
+    zero_ideal,
 )
 
 __all__ = [
@@ -270,15 +272,10 @@ def left_localization_radical(
 
 
 def _radical_from(ring, entries, localizations) -> CarrierSubset:
-    mask = (1 << ring.order) - 1
-    for a, _ in entries:
-        mask &= a.mask
-    kernel_mask = (1 << ring.order) - 1
-    for fr in localizations:
-        kernel_mask &= fr.sigma.kernel().mask
-    if mask != kernel_mask:
+    radical = CarrierSubset.meet(ring.order, (a for a, _ in entries))
+    if radical != CarrierSubset.meet(ring.order, (fr.sigma.kernel() for fr in localizations)):
         raise InternalInconsistency("radical by ideals differs from radical by kernels")
-    return CarrierSubset(ring.order, mask)
+    return radical
 
 
 def is_localization_maximal(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool:
@@ -289,8 +286,7 @@ def is_localization_maximal(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -
     ring itself, which is asserted.
     """
     family = once(saturated_denominator_sets, ring, guards)
-    zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
-    answer = set(family.keys()) == {zero_ideal}
+    answer = set(family.keys()) == {zero_ideal(ring)}
     lq = once(largest_left_quotient, ring)
     if not lq.fractions.sigma.is_bijective():
         raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
@@ -310,31 +306,23 @@ def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> 
     entries = _maximal_entries(once(saturated_denominator_sets, ring, guards))
     n_factors = len(entries)
     full = CarrierSubset.full(ring.order)
-    zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
 
     conditions = [
         Condition("finitely-many-maximal-sets", True, f"count = {n_factors}")
     ]
 
-    radical_mask = full.mask
-    for a, _ in entries:
-        radical_mask &= a.mask
-    rad = CarrierSubset(ring.order, radical_mask)
-    if rad == zero_ideal:
+    rad = CarrierSubset.meet(ring.order, (a for a, _ in entries))
+    if rad == zero_ideal(ring):
         conditions.append(Condition("zero-localization-radical", True))
     else:
         conditions.append(Condition("zero-localization-radical", False, "radical =", rad.indices()))
 
-    pair_ok, pair_detail = True, ""
-    for i in range(n_factors):
-        for j in range(i + 1, n_factors):
-            if subgroup_sum(ring, entries[i][0], entries[j][0]) != full:
-                pair_ok = False
-                pair_detail = f"annihilators {i} and {j} do not add up to the ring"
-                break
-        if not pair_ok:
-            break
-    conditions.append(Condition("pairwise-comaximal-annihilators", pair_ok, pair_detail))
+    apart = next((
+        (i, j) for i, j in combinations(range(n_factors), 2)
+        if subgroup_sum(ring, entries[i][0], entries[j][0]) != full
+    ), None)
+    pair_detail = "" if apart is None else "annihilators {} and {} do not add up to the ring".format(*apart)
+    conditions.append(Condition("pairwise-comaximal-annihilators", apart is None, pair_detail))
 
     quotients: list[tuple[FiniteRing, RingMap]] = []
     fac_ok, fac_detail = True, ""
@@ -350,11 +338,8 @@ def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> 
         return Decomposition(False, n_factors, tuple(conditions))
 
     product = direct_product(*(q for q, _ in quotients), guards=guards)
-    table = tuple(
-        product.encode([proj(x) for _, proj in quotients]) for x in range(ring.order)
-    )
     try:
-        iso = RingMap(ring, product.ring, table)
+        iso = product.coordinate_map([proj for _, proj in quotients])
     except ValueError as e:
         raise InternalInconsistency(f"coordinate map is not a homomorphism: {e}") from e
     if not iso.is_bijective():
@@ -417,15 +402,11 @@ def localization_profile(
         loc_mask = 0
         for _, s in entries:
             loc_mask |= s.mask
-        com_mask = (1 << ring.order) - 1
-        for _, s in entries:
-            com_mask &= s.mask
         localizable = CarrierSubset(ring.order, loc_mask)
-        completely = CarrierSubset(ring.order, com_mask)
+        completely = CarrierSubset.meet(ring.order, (s for _, s in entries))
         non_localizable = localizable.complement()
 
-        u_mask = units(ring).mask
-        if (u_mask | com_mask) != com_mask:
+        if not units(ring).issubset(completely):
             raise InternalInconsistency("a unit escaped a maximal denominator set")
         if ring.zero not in non_localizable:
             raise InternalInconsistency("zero claimed to be localizable")
@@ -434,15 +415,15 @@ def localization_profile(
 
         routes: list[RouteResult] = []
 
-        zero_ideal = CarrierSubset.from_indices(ring.order, [ring.zero])
-        v1 = localizable == CarrierSubset.full(ring.order) - zero_ideal
+        zero = zero_ideal(ring)
+        v1 = localizable == CarrierSubset.full(ring.order) - zero
         if v1:
             routes.append(RouteResult(_ROUTE_ELEMENTS, True, True))
         else:
-            stuck = (non_localizable - zero_ideal).indices()
+            stuck = (non_localizable - zero).indices()
             routes.append(_named(RouteResult(_ROUTE_ELEMENTS, True, False, "stuck elements:", stuck), ring))
 
-        rad_zero = radical == zero_ideal
+        rad_zero = radical == zero
         divs = [is_division_ring(fr.ring) for fr in localizations]
         v2 = rad_zero and all(divs)
         if v2:
@@ -548,10 +529,7 @@ def sided_profiles(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> SidedPr
     two = {a: s for a, s in left.saturated if a in right_family}
     maximal_two = [s for _, s in _maximal_entries(two)]
 
-    com_mask = (1 << ring.order) - 1
-    for s in maximal_two:
-        com_mask &= s.mask
-    com = CarrierSubset(ring.order, com_mask)
+    com = CarrierSubset.meet(ring.order, maximal_two)
     both = left.completely_localizable & right.completely_localizable
     if not com.issubset(both):
         raise InternalInconsistency(

@@ -74,8 +74,11 @@ __all__ = [
     "is_additive_subgroup",
     "is_two_sided_ideal",
     "subgroup_sum",
+    "table_image",
+    "zero_ideal",
     "quotient",
     "induced_map",
+    "r_isomorphism",
     "unit_pullback",
     "radix_encode",
     "radix_decode",
@@ -132,6 +135,16 @@ class CarrierSubset:
     @classmethod
     def empty(cls, n: int) -> "CarrierSubset":
         return cls(n, 0)
+
+    @classmethod
+    def meet(cls, n: int, subsets: Iterable) -> "CarrierSubset":
+        """The intersection of subsets of {0..n-1}, given as anything with a
+        mask (a CarrierSubset or a MulSet); the whole carrier when there
+        are none."""
+        mask = (1 << n) - 1
+        for s in subsets:
+            mask &= s.mask
+        return cls(n, mask)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(_bit_indices(self.mask))
@@ -521,14 +534,23 @@ def is_two_sided_ideal(ring: FiniteRing, sub: CarrierSubset) -> bool:
     return is_additive_subgroup(ring, sub) and _absorbs(ring, sub.mask, True, True) is None
 
 
+def table_image(table: np.ndarray, xs, ys) -> CarrierSubset:
+    """{table[x, y] : x in xs, y in ys}, by one gather; xs and ys are index
+    arrays (or sequences of indices) into the carrier of the table."""
+    members = np.zeros(len(table), dtype=bool)
+    members[table[np.asarray(xs, dtype=np.intp)[:, None], np.asarray(ys, dtype=np.intp)]] = True
+    return CarrierSubset(len(table), members_mask(members))
+
+
 def subgroup_sum(ring: FiniteRing, a: CarrierSubset, b: CarrierSubset) -> CarrierSubset:
     """Pointwise sum A + B = {x + y}; a subgroup when A and B are."""
     n = ring.order
-    members = np.zeros(n, dtype=bool)
-    ia = mask_members(n, a.mask).nonzero()[0]
-    ib = mask_members(n, b.mask).nonzero()[0]
-    members[ring.np_add[ia[:, None], ib]] = True
-    return CarrierSubset(n, members_mask(members))
+    return table_image(ring.np_add, mask_members(n, a.mask).nonzero()[0], mask_members(n, b.mask).nonzero()[0])
+
+
+def zero_ideal(ring: FiniteRing) -> CarrierSubset:
+    """{0}, the least ideal of every side."""
+    return CarrierSubset(ring.order, 1 << ring.zero)
 
 
 def ideal_closure(ring: FiniteRing, generators: Iterable[int], side: str = "two") -> CarrierSubset:
@@ -701,20 +723,16 @@ def is_semiprime(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool:
     """No nonzero ideal squares to zero; cross-checked against Min(R)."""
     with one_analysis():
         ideals = once(two_sided_ideals, ring, guards)
-        zero = ring.zero
         M = ring.np_mul
         by_squares = True
         for ideal in ideals:
             if len(ideal) == 1:
                 continue
             idx = mask_members(ring.order, ideal.mask).nonzero()[0]
-            if (M[idx[:, None], idx] == zero).all():
+            if (M[idx[:, None], idx] == ring.zero).all():
                 by_squares = False
                 break
-        inter = (1 << ring.order) - 1
-        for p in once(minimal_primes, ring, guards):
-            inter &= p.mask
-        by_primes = inter == (1 << zero)
+        by_primes = CarrierSubset.meet(ring.order, once(minimal_primes, ring, guards)) == zero_ideal(ring)
         if by_primes != by_squares:
             raise InternalInconsistency(
                 f"semiprime tests disagree: prime-intersection {by_primes}, square-zero {by_squares}"
@@ -739,12 +757,11 @@ def uniform_dimension(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> int:
     """
     if ring.order > guards.order:
         raise SizeGuardExceeded("uniform dimension", ring.order, guards.order)
-    zero_mask = 1 << ring.zero
-    principal = set(principal_ideals(ring, "left")) - {zero_mask}
-    span = CarrierSubset(ring.order, zero_mask)
+    span = zero = zero_ideal(ring)
+    principal = set(principal_ideals(ring, "left")) - {zero.mask}
     count = 0
     for m in sorted(principal):
-        if m & span.mask == zero_mask:
+        if m & span.mask == zero.mask:
             span = subgroup_sum(ring, span, CarrierSubset(ring.order, m))
             count += 1
     return count
@@ -782,10 +799,7 @@ class RingMap:
         return self.table[x]
 
     def kernel(self) -> CarrierSubset:
-        z = self.target.zero
-        return CarrierSubset.from_indices(
-            self.source.order, (x for x, v in enumerate(self.table) if v == z)
-        )
+        return self.preimage(zero_ideal(self.target))
 
     def is_surjective(self) -> bool:
         return len(set(self.table)) == self.target.order
@@ -795,9 +809,8 @@ class RingMap:
 
     def preimage(self, sub: CarrierSubset) -> CarrierSubset:
         """{x : f(x) in sub}."""
-        return CarrierSubset.from_indices(
-            self.source.order, (x for x, v in enumerate(self.table) if v in sub)
-        )
+        m = sub.mask
+        return CarrierSubset(self.source.order, sum(1 << x for x, v in enumerate(self.table) if m >> v & 1))
 
     @classmethod
     def identity(cls, ring: FiniteRing) -> "RingMap":
@@ -829,6 +842,16 @@ def induced_map(f: RingMap, g: RingMap) -> RingMap:
     if None in table:
         raise ValueError(f"{table.index(None)} is not in the image of the first map")
     return RingMap(f.target, g.target, tuple(table))  # type: ignore[arg-type]
+
+
+def r_isomorphism(f: RingMap, g: RingMap) -> RingMap:
+    """The induced map h with h(f(x)) == g(x), an isomorphism of rings
+    under R = f.source.  Raises ValueError when ``induced_map`` does, or
+    when h is not bijective."""
+    h = induced_map(f, g)
+    if not h.is_bijective():
+        raise ValueError("the induced map is not bijective")
+    return h
 
 
 def unit_pullback(f: RingMap) -> CarrierSubset:
@@ -883,6 +906,16 @@ class ProductRing:
     def decode(self, x: int) -> tuple[int, ...]:
         return radix_decode([f.order for f in self.factors], x)
 
+    def coordinate_map(self, maps: Sequence[RingMap]) -> RingMap:
+        """x -> (maps[0](x), maps[1](x), ...), with maps[i] into factor i:
+        the sum of each map's table at its factor's stride.  RingMap checks
+        that it is a unital homomorphism, and raises ValueError if not."""
+        if len(maps) != len(self.factors):
+            raise ValueError(f"{len(maps)} maps for {len(self.factors)} factors")
+        orders = [f.order for f in self.factors]
+        table = sum(math.prod(orders[i + 1 :]) * np.asarray(m.table) for i, m in enumerate(maps))
+        return RingMap(maps[0].source, self.ring, table)
+
 
 def radix_encode(radices: Sequence[int], digits: Sequence[int]) -> int:
     """Mixed-radix number with the first digit most significant."""
@@ -929,10 +962,10 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
     if not factors:
         raise ValueError("need at least one factor")
     n = 1
-    for f in factors:
+    for f in factors:  # the running size stops as soon as it passes the guard
         n *= f.order
-    if n > guards.order:
-        raise SizeGuardExceeded("direct product", n, guards.order)
+        if n > guards.order:
+            raise SizeGuardExceeded("direct product", math.prod(g.order for g in factors), guards.order)
 
     radices = [f.order for f in factors]
     strides, digits = radix_digits(radices)

@@ -264,6 +264,29 @@ def test_batch_json_and_out(tmp_path):
     assert sorted(os.listdir(out_dir)) == ["000_zmod-6.json", "001_gf-4.json", "summary.json"]
 
 
+def test_failed_batch_entry_keeps_its_error_in_its_out_file(tmp_path):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("ring zmod(1)\nring matrix(gf(3),3)\nring zmod(4)\n")
+    out_dir = tmp_path / "reports"
+    code, out = _run(["batch", "--manifest", str(manifest), "--format", "json", "--out", str(out_dir)])
+    assert code == 2
+    entries = json.loads(out)["entries"]
+    for i, name in enumerate(["000_zmod-1.json", "001_matrix-gf-3--3.json", "002_zmod-4.json"]):
+        assert json.loads((out_dir / name).read_text()) == entries[i]
+    assert entries[0]["error"] == "zmod(n) needs n >= 2"
+    assert entries[1]["error"] == "matrix ring of order 3^9: size 19683 exceeds guard 256"
+    assert "error" not in entries[2]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures is imported only by a batch with --jobs above 1
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, orelab.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_batch_missing_manifest(tmp_path):
     assert _run(["batch", "--manifest", "/definitely/missing.txt"])[0] == 2
     undecodable = tmp_path / "manifest.bin"
@@ -454,8 +477,9 @@ def test_catalog_outputs_are_unchanged(catalog_rings, catalog_profiles, key):
 
 # sha256 of batch over the catalog plus a guard entry and an entry that fails
 # to build, with all three analyses, in both formats with --out, recorded
-# before run and batch came to share one report function per verb
-BATCH_DIGEST = "429de85c8e9e4fa1071270a7ea0db3aa57a21af6d2468746a06911c19c8cec90"
+# before run and batch came to share one report function per verb, then
+# re-pinned when a failed entry's --out JSON file came to carry its error
+BATCH_DIGEST = "42c77171ff57a44e2cc4dc1a2eced755cc9c3789d543cc41c057fe8ee7053d35"
 
 
 def test_catalog_batch_outputs_are_unchanged(tmp_path):
