@@ -83,13 +83,18 @@ _MAX_DIGITS = 18
 _KINDS = ("zmod", "gf", "matrix", "upper_triangular", "product", "quotient", "opposite", "file")
 
 
+def _excerpt(text: str) -> str:
+    """The spec as a message quotes it: at most its first 40 characters."""
+    return f"{text[:40]!r}..." if len(text) > 40 else repr(text)
+
+
 class _SpecParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def error(self, reason: str):
-        raise BadSpec(f"{reason} at position {self.pos} in {self.text!r}")
+        raise BadSpec(f"{reason} at position {self.pos} in {_excerpt(self.text)}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -199,7 +204,7 @@ def parse_spec(text: str) -> RingSpec:
     try:
         s = p.spec()
     except RecursionError:
-        raise BadSpec(f"constructors nest too deeply in {text[:40]!r}...") from None
+        raise BadSpec(f"constructors nest too deeply in {_excerpt(text)}") from None
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing characters")

@@ -349,10 +349,13 @@ def _run_batch(args, guards: Guards, stdout) -> int:
     out_dir = args.out or manifest.out
 
     work = [(spec, manifest.analyses, args.format, guards) for spec in manifest.specs]
-    if jobs > 1 and len(work) > 1:
+    # a fork pool starts all of its workers at once, so it gets no more than
+    # there are entries to run and CPUs to run them on
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_batch_entry, work))
     else:
         entries = [_batch_entry(w) for w in work]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, NotDenominator, SizeGuardExceeded, ZeroAbsorbed
+from .errors import DEFAULT_GUARDS, Guards, NotDenominator, SizeGuardExceeded, ZeroAbsorbed
 from .localize import build_fraction_ring, core_transfer_isomorphism, largest_left_quotient, quotient_model_isomorphism
 from .maxden import (
     brute_force_denominator_sets,
@@ -179,9 +179,6 @@ def _check_largest_quotient_unit_structure(ctx: LawContext):
         problems.append("pullback of the quotient's regular set is not the base regular set")
 
     problems += _fraction_unit_problems(A, [sig(s) for s in lq.regular_set])
-
-    if not lq2.fractions.sigma.is_bijective():
-        problems.append("localizing the quotient again moved it")
 
     return not problems, True, "; ".join(problems) or f"verified on a quotient of order {A.order}"
 
@@ -436,9 +433,6 @@ def _check_maximal_localization_properties(ctx: LawContext):
             return False, True, "set is not the preimage of the quotient's regular elements"
         if {proj(x) for x in s} != set(units(q)):
             return False, True, "projected set is not the quotient's regular set"
-
-        if not lqq.fractions.sigma.is_bijective():
-            return False, True, "largest quotient of the factor moved"
         try:
             r_isomorphism(lqq.fractions.sigma, theta)
         except ValueError as e:
@@ -658,10 +652,9 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
     ring = ctx.ring
     if not once(is_semiprime, ring, ctx.guards):
         return True, False, "target is not semiprime"
-    # sigma: R -> Q_l(R) is checked bijective, so it is a ring isomorphism
-    # and R's own splitting is that of Q_l(R), read through sigma
-    if not ctx.lq.fractions.sigma.is_bijective():
-        raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
+    # sigma: R -> Q_l(R) is checked bijective where the profile builds it,
+    # so it is a ring isomorphism and R's own splitting is that of Q_l(R),
+    # read through sigma
     dec = once(product_decomposition, ring, ctx.guards)
     if not dec.succeeded:
         return False, True, "quotient of a semiprime ring does not split"

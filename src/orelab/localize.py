@@ -260,7 +260,8 @@ def largest_left_quotient(ring: FiniteRing) -> LargestQuotient:
     The set is found the same way the saturated family finds it (pull the
     units of R/0 back through the projection); on a finite ring it must
     equal the unit group and the regular elements, and both identities
-    are asserted.
+    are asserted, as is the third: sigma: R -> Q_l(R) is bijective, so
+    the largest quotient of a finite ring is the ring itself.
     """
     u = units(ring)
     if unit_pullback(once(quotient, ring, zero_ideal(ring))[1]) != u:
@@ -272,6 +273,8 @@ def largest_left_quotient(ring: FiniteRing) -> LargestQuotient:
     if not den.holds:
         raise InternalInconsistency(f"the unit group failed the denominator test at {den.witness}")
     fr = once(build_fraction_ring, ring, u)
+    if not fr.sigma.is_bijective():
+        raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
     return LargestQuotient(s0, fr)
 
 

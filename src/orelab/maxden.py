@@ -287,9 +287,7 @@ def is_localization_maximal(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -
     """
     family = once(saturated_denominator_sets, ring, guards)
     answer = set(family.keys()) == {zero_ideal(ring)}
-    lq = once(largest_left_quotient, ring)
-    if not lq.fractions.sigma.is_bijective():
-        raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
+    once(largest_left_quotient, ring)  # asserts that identity
     return answer
 
 
@@ -449,10 +447,10 @@ def localization_profile(
             )
             routes.append(RouteResult(_ROUTE_GOLDIE, True, v3, d3))
 
-        # route 4 reads Q_l(R)'s splitting off R's through the checked sigma,
-        # and that splitting is the profile's decomposition
-        if not once(largest_left_quotient, ring).fractions.sigma.is_bijective():
-            raise InternalInconsistency("largest quotient of a finite ring must be the ring itself")
+        # route 4 reads Q_l(R)'s splitting off R's through sigma, which
+        # largest_left_quotient checks bijective, and that splitting is the
+        # profile's decomposition
+        once(largest_left_quotient, ring)
         # the decomposition may be shared with an equal ring under other
         # names, so the profile names its conditions' elements by R's
         dec = once(product_decomposition, ring, guards)

@@ -402,7 +402,5 @@ def ore_report(mulset: MulSet) -> OreReport:
             c_empty = len(c) == 0
             if not c.issubset(mulset.elements):
                 raise InternalInconsistency("core escapes the set")
-            if den.holds and not is_two_sided_ideal(ring, a):
-                raise InternalInconsistency("ass of a denominator set is not an ideal")
         sat = saturate(mulset) if den.holds else None
         return OreReport(mulset, ore, den, a, c, c_empty, sat, denominator_sidedness(mulset))

@@ -693,34 +693,27 @@ def left_ideals(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[Carri
 # -- primes, semiprimeness, uniform dimension ----------------------------
 
 
-def _is_prime_ideal(ring: FiniteRing, p: CarrierSubset) -> bool:
-    # p is prime iff no a, b outside p have a*R*b inside p.  For one a the
-    # products (a*r)*b are the rows M[a*R], so no table exceeds n*n entries.
-    in_p = mask_members(ring.order, p.mask)
-    outside = (~in_p).nonzero()[0]
-    if not outside.size:
-        return False  # the whole ring is not prime
-    M = ring.np_mul
-    for a in outside:
-        if in_p[M[M[a]][:, outside]].all(axis=0).any():
-            return False
-    return True
-
-
 def minimal_primes(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[CarrierSubset]:
-    """Inclusion-minimal prime ideals, via the a*R*b containment test."""
+    """Inclusion-minimal prime ideals: on a finite ring, the maximal ideals.
+
+    A maximal ideal m of a ring with 1 is prime: R/m is simple, and a
+    simple ring is prime.  Conversely, if p is prime then R/p is a prime
+    ring that is finite, hence left Artinian, and a prime left Artinian
+    ring is simple (Wedderburn-Artin), so p is maximal.  Maximal ideals
+    are pairwise incomparable, so each of them is a minimal prime.  They
+    are the coatoms of the lattice, kept in its (size, mask) order.
+    """
     ideals = once(two_sided_ideals, ring, guards)
-    primes = [p for p in ideals if _is_prime_ideal(ring, p)]
-    out = []
-    for p in primes:
-        if not any(q is not p and q.issubset(p) for q in primes):
-            out.append(p)
-    out.sort(key=lambda s: (len(s), s.mask))
-    return out
+    proper = ideals[:-1]  # the whole ring sorts last
+    return [p for i, p in enumerate(proper) if not any(p.issubset(q) for q in proper[i + 1:])]
 
 
 def is_semiprime(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool:
-    """No nonzero ideal squares to zero; cross-checked against Min(R)."""
+    """No nonzero ideal squares to zero; cross-checked against Min(R).
+
+    The second route asks whether the prime radical, the meet of Min(R),
+    is 0; it reads only the maximal ideals, never an ideal's square.
+    """
     with one_analysis():
         ideals = once(two_sided_ideals, ring, guards)
         M = ring.np_mul

@@ -241,6 +241,41 @@ def test_batch_roundtrip(tmp_path):
     assert "|maxDen_l|" in out1
 
 
+def test_batch_pool_is_bounded_by_the_entries(tmp_path, monkeypatch):
+    # a fork pool starts max_workers processes at its first submit; this
+    # fake records the request, maps serially and starts no process
+    import concurrent.futures
+
+    asked = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("ring zmod(6)\nring gf(4)\nanalysis axioms\n")
+    serial = _run(["batch", "--manifest", str(manifest), "--jobs", "1"])
+    assert asked == []
+    assert _run(["batch", "--manifest", str(manifest), "--jobs", "10000"]) == serial
+    manifest.write_text("ring zmod(6)\nring gf(4)\nanalysis axioms\njobs 10000\n")
+    assert _run(["batch", "--manifest", str(manifest)]) == serial
+    assert asked == [2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _run(["batch", "--manifest", str(manifest)]) == serial
+    assert asked == [2, 2]  # one CPU known: the serial path
+
+
 def test_batch_empty(tmp_path):
     manifest = tmp_path / "empty.txt"
     manifest.write_text("# nothing to do\n")

@@ -5,7 +5,9 @@ is the least set holding 0 and the generators that is closed under +,
 under x -> r*x (left, two-sided) and under x -> x*r (right, two-sided).
 The uniform dimension is checked against a backtracking search over
 every family of independent left ideals, and ``principal_ideals``, one
-closure per unit orbit, against one ``ideal_closure`` per element.
+closure per unit orbit, against one ``ideal_closure`` per element.  The
+minimal primes, read off the lattice as its maximal ideals, are checked
+against the ideals that pass the definition of a prime ideal.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 from orelab import (
     DEFAULT_CATALOG,
     CarrierSubset,
+    FiniteRing,
     Guards,
     SizeGuardExceeded,
     construct,
@@ -26,7 +29,7 @@ from orelab import (
     two_sided_ideals,
     uniform_dimension,
 )
-from orelab.rings import principal_ideals, subgroup_sum
+from orelab.rings import mask_members, principal_ideals, subgroup_sum
 
 SIDES = ("left", "right", "two")
 
@@ -129,6 +132,36 @@ def test_zmod_ideals_are_the_divisors(n):
     assert len(two_sided_ideals(construct(f"zmod({n})"))) == _divisor_count(n)
 
 
+def _is_prime_ideal(ring: FiniteRing, p: CarrierSubset) -> bool:
+    # p is prime iff no a, b outside p have a*R*b inside p.  For one a the
+    # products (a*r)*b are the rows M[a*R], so no table exceeds n*n entries.
+    in_p = mask_members(ring.order, p.mask)
+    outside = (~in_p).nonzero()[0]
+    if not outside.size:
+        return False  # the whole ring is not prime
+    M = ring.np_mul
+    for a in outside:
+        if in_p[M[M[a]][:, outside]].all(axis=0).any():
+            return False
+    return True
+
+
+# semiprime rings above order 64, whose profiles once skipped the Goldie
+# route, and a ring with a nonzero Jacobson radical
+ABOVE_64 = ["matrix(gf(3),2)", "product(gf(4),gf(8),gf(5))", "zmod(210)", "upper_triangular(gf(2),3)"]
+PRIME_CASES = PRINCIPAL_CASES + [
+    case
+    for spec, ring in ((spec, construct(spec)) for spec in ABOVE_64)
+    for case in ((spec, ring), (f"{spec}~1", _relabelled(ring, random.Random(spec))))
+]
+
+
+@pytest.mark.parametrize("label,ring", PRIME_CASES, ids=[c[0] for c in PRIME_CASES])
+def test_minimal_primes_are_the_primes_by_definition(label, ring):
+    # every prime is maximal and every maximal ideal is prime
+    assert [p for p in two_sided_ideals(ring) if _is_prime_ideal(ring, p)] == minimal_primes(ring)
+
+
 def test_minimal_primes_stay_within_square_tables():
     ring = construct("zmod(128)")
     tracemalloc.start()
@@ -166,12 +199,7 @@ def test_uniform_dimension_matches_the_search(label, ring):
     assert uniform_dimension(ring) == _uniform_dimension_by_search(ring)
 
 
-# semiprime rings above order 64, whose profiles once skipped the Goldie
-# route, and a ring with a nonzero Jacobson radical
-@pytest.mark.parametrize(
-    "spec",
-    ["matrix(gf(3),2)", "product(gf(4),gf(8),gf(5))", "zmod(210)", "upper_triangular(gf(2),3)"],
-)
+@pytest.mark.parametrize("spec", ABOVE_64)
 def test_uniform_dimension_matches_the_search_above_order_64(spec):
     ring = construct(spec)
     for r in (ring, _relabelled(ring, random.Random(spec))):

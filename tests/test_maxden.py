@@ -1,7 +1,8 @@
 """Saturated families, maximal denominator sets, profiles, splittings."""
 
+import functools
 import random
-from types import SimpleNamespace
+from dataclasses import replace
 
 import pytest
 from test_ideal_reference import _relabelled
@@ -23,6 +24,7 @@ from orelab import (
     quotient,
     saturated_denominator_sets,
     sided_profiles,
+    units,
 )
 from orelab import localize
 
@@ -223,12 +225,18 @@ def test_profiles_do_not_change_under_relabelling(catalog_rings, catalog_profile
 
 
 def test_route_4_refuses_a_sigma_that_is_not_bijective(monkeypatch, z6):
-    original = localize.largest_left_quotient
+    # the fraction ring of z6 at its unit group gets a sigma that is not
+    # onto; wraps keeps the name by which rings.once finds the build
+    original = localize.build_fraction_ring
     _, proj = quotient(z6, CarrierSubset.from_indices(6, [0, 3]))  # a ring map, not onto a copy of z6
-    bad = SimpleNamespace(fractions=SimpleNamespace(sigma=proj))
-    monkeypatch.setattr(
-        localize, "largest_left_quotient", lambda ring: bad if ring is z6 else original(ring)
-    )
+    u = units(z6)
+
+    @functools.wraps(original)
+    def fake(ring, dens):
+        fr = original(ring, dens)
+        return replace(fr, sigma=proj) if ring is z6 and dens == u else fr
+
+    monkeypatch.setattr(localize, "build_fraction_ring", fake)
     with pytest.raises(InternalInconsistency, match="largest quotient"):
         localization_profile(z6)
 

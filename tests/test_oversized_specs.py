@@ -49,6 +49,16 @@ def test_oversized_spec_exits_with_one_line(spec, code, message):
     assert run.stdout.count("\n") == 1 and run.stdout.startswith(message)
 
 
+@pytest.mark.parametrize("spec", [
+    f"zmod({BIG})", f"gf({BIG})", f"matrix(zmod({BIG}),2)", "opposite(" * 5000 + "zmod(2)" + ")" * 5000,
+], ids=["zmod", "gf", "matrix", "nested"])
+def test_a_refused_spec_is_quoted_by_its_head(spec):
+    run = _child(["-m", "orelab.cli", "info", spec])
+    assert run.returncode == 2, run.stderr[-2000:]
+    assert run.stdout.count("\n") == 1 and len(run.stdout) < 200
+    assert f"{spec[:40]!r}..." in run.stdout
+
+
 def test_matrix_guard_trips_before_any_allocation():
     script = (
         "import tracemalloc\n"
