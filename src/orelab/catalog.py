@@ -376,15 +376,22 @@ def _build(spec: RingSpec, guards: Guards) -> FiniteRing:
 
 def canonical_text(ring: FiniteRing, include_names: bool = True) -> str:
     """Serialize in the fixed field order: order, one, zero, add, mul, names."""
-    lines = [f"order {ring.order}", f"one {ring.one}", f"zero {ring.zero}", "add"]
-    text = [str(x) for x in ring.elements]  # each element formatted once
-    lines += [" ".join([text[v] for v in row]) for row in ring.np_add.tolist()]
-    lines.append("mul")
-    lines += [" ".join([text[v] for v in row]) for row in ring.np_mul.tolist()]
+    # each element is formatted once with the " " that follows it inside a
+    # row and once with the "\n" that ends a row; a table's text is then one
+    # gather on these object arrays and one join
+    spaced = np.array([f"{x} " for x in ring.elements], dtype=object)
+    ended = np.array([f"{x}\n" for x in ring.elements], dtype=object)
+
+    def table(T: np.ndarray) -> str:
+        cells = spaced[T]
+        cells[:, -1] = ended[T[:, -1]]
+        return "".join(cells.ravel().tolist())
+
+    text = f"order {ring.order}\none {ring.one}\nzero {ring.zero}\n"
+    text += f"add\n{table(ring.np_add)}mul\n{table(ring.np_mul)}"
     if include_names and ring.names is not None:
-        lines.append("names")
-        lines.append(" ".join(ring.names))
-    return "\n".join(lines) + "\n"
+        text += "names\n" + " ".join(ring.names) + "\n"
+    return text
 
 
 def canonical_hash(ring: FiniteRing) -> str:

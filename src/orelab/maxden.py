@@ -117,7 +117,10 @@ class Decomposition:
     iso: RingMap | None = None
     factor_division: tuple[bool, ...] | None = None
 
-    def to_doc(self) -> dict:
+    def to_doc(self, hashes: dict[FiniteRing, str] | None = None) -> dict:
+        """The report; hashes holds canonical hashes already computed, by
+        ring, so a factor equal to one of them (R/0 to R) or to an earlier
+        factor is not hashed again."""
         from .catalog import canonical_hash
 
         doc = {
@@ -126,8 +129,12 @@ class Decomposition:
             "conditions": [c.to_doc() for c in self.conditions],
         }
         if self.succeeded:
+            hashes = dict(hashes or {})
+            for f in self.factors:
+                if f not in hashes:
+                    hashes[f] = canonical_hash(f)
             doc["factor_orders"] = [f.order for f in self.factors]
-            doc["factor_hashes"] = [canonical_hash(f) for f in self.factors]
+            doc["factor_hashes"] = [hashes[f] for f in self.factors]
             doc["factor_division"] = list(self.factor_division)
         return doc
 
@@ -151,8 +158,9 @@ class LocalizationProfile:
     def to_doc(self) -> dict:
         from .catalog import canonical_hash
 
+        ring_hash = canonical_hash(self.ring)
         return {
-            "ring_hash": canonical_hash(self.ring),
+            "ring_hash": ring_hash,
             "order": self.ring.order,
             "saturated_family": [
                 {"ass": sorted(a), "set": sorted(s)} for a, s in self.saturated
@@ -166,7 +174,7 @@ class LocalizationProfile:
             "completely_localizable": sorted(self.completely_localizable),
             "non_localizable": sorted(self.non_localizable),
             "verdict": self.verdict.to_doc(),
-            "decomposition": self.decomposition.to_doc(),
+            "decomposition": self.decomposition.to_doc({self.ring: ring_hash}),
         }
 
 
@@ -176,19 +184,17 @@ def saturated_denominator_sets(
     """All saturated left denominator sets, keyed by annihilator ideal.
 
     Candidates are unit pullbacks through each proper quotient; a
-    candidate survives when it passes the denominator test and its
-    annihilator is exactly the ideal it came from.
+    candidate survives when its annihilator is exactly the ideal it came
+    from and it passes the denominator test.  The annihilator, one gather,
+    is compared first, so the Ore test runs only on candidates it keeps.
     """
     out: dict[CarrierSubset, MulSet] = {}
     for a in once(two_sided_ideals, ring, guards):
         if len(a) == ring.order:
             continue
         t = unit_pullback(once(quotient, ring, a)[1])
-        if not once(is_left_denominator, ring, t).holds:
-            continue
-        if once(ass, ring, t) != a:
-            continue
-        out[a] = MulSet(ring, t)
+        if once(ass, ring, t) == a and once(is_left_denominator, ring, t).holds:
+            out[a] = MulSet(ring, t)
     if not out:
         raise InternalInconsistency("the unit group went missing from the saturated family")
     return out

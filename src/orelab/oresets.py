@@ -232,21 +232,33 @@ def is_left_ore(ring_or_mulset, setlike=None) -> Verdict:
 
     On failure the witness is the violating pair (r, s), first in
     lexicographic order.
+
+    Only the denominators s that can fail are tested.  An s with a left
+    inverse v (in a finite ring, a unit) never fails, as R*s holds every
+    r = (r*v)*s; nor does a central s, as s*r = r*s lies in S*r and in
+    R*s.  Both are read from S's own rows and columns of the table, so in
+    a commutative ring the test ends there.  Dropping members that never
+    fail leaves the verdict and the first failing (r, s) as they were.
     """
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
     n, M = ring.order, ring.np_mul
     S = _indices(ring, elems)
-    # 0/1 member matrices: sr[r] is S*r and rs[j] is R*s_j; (sr @ rs.T)[r, j]
-    # counts |S*r meet R*s_j| exactly, as counts <= n < 2**24 fit a float32
+    rows, cols = M[S], M[:, S]
+    tested = ~((cols == ring.one).any(0) | (rows == cols.T).all(1))
+    if not tested.any():
+        return Verdict(True, None)
+    D = S[tested]
+    # 0/1 member matrices: sr[r] is S*r and rs[j] is R*d_j; (sr @ rs.T)[r, j]
+    # counts |S*r meet R*d_j| exactly, as counts <= n < 2**24 fit a float32
     sr = np.zeros((n, n), dtype=np.float32)
-    sr[np.arange(n), M[S]] = 1
-    rs = np.zeros((len(S), n), dtype=np.float32)
-    rs[np.arange(len(S)), M[:, S]] = 1
+    sr[np.arange(n), rows] = 1
+    rs = np.zeros((len(D), n), dtype=np.float32)
+    rs[np.arange(len(D)), cols[:, tested]] = 1
     disjoint = (sr @ rs.T) == 0
     if not disjoint.any():
         return Verdict(True, None)
-    r, j = divmod(int(disjoint.argmax()), len(S))
-    return Verdict(False, (r, int(S[j])))
+    r, j = divmod(int(disjoint.argmax()), len(D))
+    return Verdict(False, (r, int(D[j])))
 
 
 def is_left_denominator(ring_or_mulset, setlike=None) -> Verdict:

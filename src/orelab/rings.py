@@ -276,16 +276,24 @@ class FiniteRing:
         # The laws in three variables are checked only for a middle variable
         # b in G, a generating set of (R, +); the b that pass form a set closed
         # under +, so passing on G proves each law for every b.  This is
-        # Light's associativity test, extended to distributivity.
-        G = [self.zero] + additive_generators(self, CarrierSubset.full(n))
+        # Light's associativity test, extended to distributivity.  G is the
+        # greedy generators, without 0, whose closure under + with 0 is R:
+        # 0 passes add-associativity by the identity law, (x+0)+y = x+y =
+        # x+(0+y); from then on (R, +) is a finite group, where a set closed
+        # under + that holds some g holds k*g = 0, so 0 passes every later law.
+        G = additive_generators(self, CarrierSubset.full(n))
 
         def on_generators(law: str, sides) -> None:
-            # sides(g)[x, y] are the two sides of the law at (x, g, y)
+            # sides(g)[x, y] are the two sides of the law at (x, g, y); once
+            # the law fails, 0 is tried before g, so the witness is the first
+            # failure over [0] + G
             for g in G:
-                bad = np.not_equal(*sides(g))  # frees both sides at once
-                if bad.any():
-                    x, y = (int(v) for v in np.argwhere(bad)[0])
-                    raise AxiomViolation(law, (x, g, y))
+                if np.not_equal(*sides(g)).any():  # frees both sides at once
+                    for b in (self.zero, g):
+                        bad = np.not_equal(*sides(b))
+                        if bad.any():
+                            x, y = (int(v) for v in np.argwhere(bad)[0])
+                            raise AxiomViolation(law, (x, b, y))
 
         # (x+g)+y = x+(g+y): if b and b' pass, (x+(b+b'))+y = ((x+b)+b')+y
         # = (x+b)+(b'+y) = x+(b+(b'+y)) = x+((b+b')+y)
@@ -299,7 +307,10 @@ class FiniteRing:
         # a(g+c) = ag+ac and (a+g)c = ac+gc: with + associative, a((b+b')+c)
         # = a(b+(b'+c)) = ab+(ab'+ac) = a(b+b')+ac, and the same on the right
         on_generators("left-distributive", lambda g: (M[:, A[g]], A[M[:, g][:, None], M]))
-        on_generators("right-distributive", lambda g: (M[A[:, g]], A[M, M[g]]))
+        # a commutative product is right distributive once it is left
+        # distributive: (a+g)c = c(a+g) = ca+cg = ac+gc
+        if not np.array_equal(M, M.T):
+            on_generators("right-distributive", lambda g: (M[A[:, g]], A[M, M[g]]))
         # (ag)c = a(gc): with both distributive laws, (a(b+b'))c = (ab)c+(ab')c
         # = a(bc)+a(b'c) = a((b+b')c)
         on_generators("mul-associative", lambda g: (M[M[:, g]], M[:, M[g]]))

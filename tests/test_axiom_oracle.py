@@ -150,6 +150,50 @@ def test_single_entry_mul_perturbations(spec):
     assert refused > 0
 
 
+@pytest.mark.parametrize("spec", ["zmod(8)", "gf(8)", "product(gf(2),gf(4))"])
+def test_symmetric_pair_mul_perturbations(spec):
+    # a single changed entry breaks M = M^T, so only a pair changed together
+    # keeps the product commutative, where right distributivity is not
+    # checked; row and column 0 (the products a*0) are included
+    ring = construct(spec)
+    n = ring.order
+    add, mul = _tables(ring)
+    assert mul == [list(col) for col in zip(*mul)]
+    laws = set()
+    for i in range(n):
+        for j in range(i, n):
+            kept = mul[i][j]
+            for v in range(n):
+                if v == kept:
+                    continue
+                mul[i][j] = mul[j][i] = v
+                laws.add(_check_agrees(n, add, mul, ring.zero, ring.one))
+            mul[i][j] = mul[j][i] = kept
+    # each pair off the row of one breaks a(b+c) = ab+ac, which the check
+    # finds at a generator, and no changed table is a ring
+    assert laws == {"mul-identity", "left-distributive"}
+
+
+@pytest.mark.parametrize("spec", ["zmod(8)", "matrix(gf(2),2)"])
+def test_a_broken_product_with_zero_is_named_at_zero(spec):
+    # 0 is not among the generators the check runs on, yet a failure of
+    # a*0 = 0 is named at the middle variable 0, as the first failure
+    # over 0 and the generators
+    ring = construct(spec)
+    n = ring.order
+    add, mul = _tables(ring)
+    for a in range(n):
+        if a == ring.one:
+            continue
+        for v in range(1, n):
+            mul[a][ring.zero] = v
+            with pytest.raises(AxiomViolation) as e:
+                from_tables(n, add, mul, ring.zero, ring.one)
+            witness = (a, ring.zero, ring.zero)
+            assert (e.value.law, e.value.witness) == ("left-distributive", witness)
+        mul[a][ring.zero] = ring.zero
+
+
 def _bilinear_table(k, rng):
     """A random bilinear product on F_2^k (XOR addition) with 1 = e_0."""
     n = 1 << k

@@ -15,7 +15,9 @@ also left reversible and the reversibility witness is never exercised;
 
 import random
 
+import numpy as np
 import pytest
+from test_ideal_reference import _relabelled
 
 from orelab import (
     DEFAULT_CATALOG,
@@ -34,7 +36,7 @@ from orelab import (
 )
 from orelab.maxden import closed_unital_subsets
 from orelab.oresets import check_semigroup, closure_escape, max_kernel_elements
-from orelab.rings import _absorbs, is_additive_subgroup, two_sided_ideals
+from orelab.rings import _absorbs, is_additive_subgroup, mask_members, two_sided_ideals
 
 LADDER = (
     "zmod(32)",
@@ -314,3 +316,64 @@ def test_closures_match_the_scalar_walk(spec):
         assert _closure_or_chain(ring, gens) == want, gens
         absorbed += isinstance(want, list)
     assert absorbed  # zero is a generator, so some closure absorbs it
+
+
+# -- the all-columns Ore test, kept as a reference -----------------------------
+
+
+def _all_columns_ore(ring, sub):
+    """The float32 test is_left_ore once was, over every column s of S."""
+    n, M = ring.order, ring.np_mul
+    S = np.flatnonzero(mask_members(n, sub.mask))
+    sr = np.zeros((n, n), dtype=np.float32)
+    sr[np.arange(n), M[S]] = 1
+    rs = np.zeros((len(S), n), dtype=np.float32)
+    rs[np.arange(len(S)), M[:, S]] = 1
+    disjoint = (sr @ rs.T) == 0
+    if not disjoint.any():
+        return True, None
+    r, j = divmod(int(disjoint.argmax()), len(S))
+    return False, (r, int(S[j]))
+
+
+SHORTCUT_RINGS = (
+    "zmod(128)",
+    "product(gf(2),zmod(64))",
+    "upper_triangular(gf(4),2)",
+    "product(upper_triangular(gf(2),2),zmod(4))",  # central non-units
+)
+
+
+@pytest.mark.parametrize("spec", SHORTCUT_RINGS)
+def test_units_and_central_denominators_are_skipped_without_changing_the_witness(spec):
+    # is_left_ore tests only the members that are neither units nor
+    # central; the all-columns test must give the same verdict and the same
+    # first (r, s), also on sets that join a member failing alone with
+    # units or with central elements
+    rng = random.Random(f"ore-oracle/units/{spec}")
+    base = construct(spec)
+    mixed_failures = 0
+    for ring in (_relabelled(base, rng), _relabelled(base, rng)):
+        M = ring.np_mul
+        unit_group = units(ring)
+        central = [x for x in range(ring.order) if (M[x] == M[:, x]).all()]
+        skipped = unit_group.mask | sum(1 << x for x in central)
+        sets = {unit_group}
+        sets.update(_one_generator_closures(ring))
+        sets.update(_random_closures(ring, rng, 40))
+        partners = [u for u in unit_group if u != ring.one]
+        partners = rng.sample(partners, 3) + [c for c in central if c not in unit_group]
+        for closure in sorted(sets, key=lambda s: s.mask):
+            if len(closure) == 2 and not _all_columns_ore(ring, closure)[0]:
+                (x,) = (y for y in closure if y != ring.one)
+                for u in partners:
+                    try:
+                        sets.add(mul_closure(ring, [x, u]).elements)
+                    except ZeroAbsorbed:
+                        pass
+        for sub in sorted(sets, key=lambda s: s.mask):
+            want = _all_columns_ore(ring, sub)
+            assert tuple(is_left_ore(ring, sub)) == want, sorted(sub)
+            mixed_failures += not want[0] and bin(sub.mask & skipped).count("1") > 1
+    # every multiplicative set of a commutative ring is left Ore
+    assert (mixed_failures > 0) == (ring != opposite(ring))
