@@ -240,8 +240,6 @@ def _gf(q: int) -> FiniteRing:
     d = 1
     while p**d < q:
         d += 1
-    if p**d != q:
-        raise BadSpec(f"gf({q}): not a prime power")
     if d == 1:
         return _residues(p)
     irr = _GF_IRREDUCIBLE[q]

@@ -12,6 +12,7 @@ as silent weakening.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +35,7 @@ from .rings import (
     is_division_ring,
     is_semiprime,
     mask_members,
+    member_indices,
     once,
     one_analysis,
     quotient,
@@ -143,22 +145,21 @@ class LawContext:
         return self._partners[partner_spec]
 
 
-def _unit_inverses(ring: FiniteRing) -> dict[int, int]:
-    """The inverse of each unit; a two-sided inverse is unique."""
+def _unit_inverses(ring: FiniteRing):
+    """The index array whose entry u is the inverse of the unit u, unique
+    as it is two-sided; its entries off the units mean nothing."""
     M = ring.np_mul
-    u, v = ((M == ring.one) & (M.T == ring.one)).nonzero()
-    return dict(zip(u.tolist(), v.tolist()))
+    return ((M == ring.one) & (M.T == ring.one)).argmax(1)
 
 
-def _fraction_unit_problems(A: FiniteRing, mapped: list[int]) -> list[str]:
+def _fraction_unit_problems(A: FiniteRing, mapped) -> list[str]:
     """The statements that fail of: A's units are generated by the units
-    in mapped and their inverses, and are exactly the fractions u^-1 * v
-    with u and v in mapped."""
-    inv = _unit_inverses(A)
-    inverses = [inv[g] for g in mapped]
+    in the index array mapped and their inverses, and are exactly the
+    fractions u^-1 * v with u and v in mapped."""
+    inverses = _unit_inverses(A)[mapped]
     a_units = units(A)
     problems = []
-    if mul_closure(A, mapped + inverses).elements != a_units:
+    if mul_closure(A, [*mapped, *inverses]).elements != a_units:
         problems.append("units are not generated by the mapped set and its inverses")
     if table_image(A.np_mul, inverses, mapped) != a_units:
         problems.append("units are not exactly the two-element fractions of the set")
@@ -178,7 +179,7 @@ def _check_largest_quotient_unit_structure(ctx: LawContext):
     if sig.preimage(lq2.regular_set.elements) != lq.regular_set.elements:
         problems.append("pullback of the quotient's regular set is not the base regular set")
 
-    problems += _fraction_unit_problems(A, [sig(s) for s in lq.regular_set])
+    problems += _fraction_unit_problems(A, sig.table[member_indices(lq.regular_set.elements)])
 
     return not problems, True, "; ".join(problems) or f"verified on a quotient of order {A.order}"
 
@@ -277,7 +278,7 @@ def _check_product_lifting(ctx: LawContext):
         except ValueError as e:
             return False, True, f"slot {slot} localizations are not R-isomorphic: {e}"
 
-        want_core = CarrierSubset.from_indices(p_ring.order, (emb[x] for x in core(factor, s_i)))
+        want_core = CarrierSubset.from_indices(p_ring.order, emb[member_indices(core(factor, s_i))])
         if core(p_ring, lifted) != want_core:
             return False, True, f"lifted core mismatch in slot {slot}"
     return True, True, f"verified against a partner product of order {p_ring.order}"
@@ -389,8 +390,6 @@ def _check_splitting_round_trip(ctx: LawContext):
 
     if not dec.iso.is_bijective():
         return False, True, "splitting map is not bijective"
-    import math
-
     if math.prod(f.order for f in dec.factors) != ring.order:
         return False, True, "factor orders do not multiply to the ring order"
     for idx, ((a, s, fr), proj) in enumerate(zip(entries, dec.projections)):
@@ -431,7 +430,7 @@ def _check_maximal_localization_properties(ctx: LawContext):
 
         if proj.preimage(lqq.regular_set.elements).mask != s.mask:
             return False, True, "set is not the preimage of the quotient's regular elements"
-        if {proj(x) for x in s} != set(units(q)):
+        if CarrierSubset.from_indices(q.order, proj.table[member_indices(s.elements)]) != units(q):
             return False, True, "projected set is not the quotient's regular set"
         try:
             r_isomorphism(lqq.fractions.sigma, theta)
@@ -448,7 +447,7 @@ def _check_maximal_localization_properties(ctx: LawContext):
         if unit_pullback(fr.sigma).mask != s.mask:
             return False, True, "set is not the unit preimage under the canonical map"
 
-        problems = _fraction_unit_problems(A, [theta(proj(x)) for x in s])
+        problems = _fraction_unit_problems(A, theta.table[proj.table[member_indices(s.elements)]])
         if problems:
             return False, True, "; ".join(problems)
 
@@ -489,8 +488,7 @@ def _check_three_way_localizability(ctx: LawContext):
     divisions = [is_division_ring(fr.ring) for fr in prof.localizations]
     s2 = prof.radical == zero_ideal(ring) and all(divisions)
 
-    tuples = [tuple(fr.sigma(r) for fr in prof.localizations) for r in range(ring.order)]
-    injective = len(set(tuples)) == ring.order
+    injective = len(set(zip(*(fr.sigma.table.tolist() for fr in prof.localizations)))) == ring.order
     s3 = injective and all(divisions)
 
     if not (s1 == s2 == s3):
@@ -625,12 +623,12 @@ def _check_regular_set_transport(ctx: LawContext):
     t_sub = max(faithful, key=lambda sub: sub.mask.bit_count())
     tfr = once(build_fraction_ring, ring, t_sub)
     A = tfr.ring
-    inv = _unit_inverses(A)
+    sig = tfr.sigma.table
+    t_inverses = _unit_inverses(A)[sig[member_indices(t_sub)]]
     max_a = {s.mask for s in max_den(A, ctx.guards)}
     transported = {}
     for a, s, fr in ctx.entries:
-        gens = [tfr.sigma(x) for x in s] + [inv[tfr.sigma(t)] for t in t_sub]
-        transported[s.mask] = mul_closure(A, gens).mask
+        transported[s.mask] = mul_closure(A, [*sig[member_indices(s.elements)], *t_inverses]).mask
     if set(transported.values()) != max_a:
         return False, True, "transported sets are not the maximal sets of the localization"
     if len(set(transported.values())) != len(transported):
@@ -689,7 +687,7 @@ def _check_core_absorption(ctx: LawContext):
     M = ring.np_mul
     for sub in ctx.denominator_sets:
         in_core = mask_members(ring.order, core(ring, sub).mask)
-        S, C = mask_members(ring.order, sub.mask).nonzero()[0], in_core.nonzero()[0]
+        S, C = member_indices(sub), in_core.nonzero()[0]
         left = ~in_core[M[S[:, None], C]]  # [s, t]: s*t left the core
         if left.any():
             i, j = divmod(int(left.argmax()), len(C))

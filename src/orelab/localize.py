@@ -37,6 +37,7 @@ from .rings import (
     FiniteRing,
     RingMap,
     _image_ring,
+    member_indices,
     once,
     quotient,
     r_isomorphism,
@@ -90,7 +91,7 @@ class FractionRing:
             "one": self.ring.one,
             "add": self.ring.np_add.tolist(),
             "mul": self.ring.np_mul.tolist(),
-            "sigma": list(self.sigma.table),
+            "sigma": self.sigma.table.tolist(),
             "representatives": [list(p) for p in self.reps],
         }
 
@@ -138,7 +139,7 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
         raise NotDenominator(den.witness)
 
     n, A, M = ring.order, ring.np_add, ring.np_mul
-    S = np.array(elems.indices(), dtype=np.intp)
+    S = member_indices(elems)
     m, a = len(S), once(ass, ring, elems)
     row_of = np.zeros(n, dtype=np.intp)
     row_of[S] = np.arange(m)
@@ -158,7 +159,7 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
         w = S[hit.argmax(-1)]
         return w, pre[anchor, M[w, through]]
 
-    labels = (np.arange(0, m * n, n)[:, None] + A[:, a.indices()].min(1)).ravel()
+    labels = (np.arange(0, m * n, n)[:, None] + A[:, member_indices(a)].min(1)).ravel()
     s1, r1 = witness(np.arange(m), S[:1])  # s1*s0 == r1*s lies in S
     to = row_of[M[s1, S[0]]][:, None] * n
     src = np.concatenate([np.arange(m * n), np.tile(np.arange(n), m)])
@@ -201,10 +202,9 @@ def build_fraction_ring(ring: FiniteRing, dens) -> FractionRing:
 
     if sigma.kernel() != a:
         raise InternalInconsistency("kernel of the canonical map differs from ass(S)")
-    fr_units = units(fr_ring)
-    for s in S.tolist():
-        if sigma(s) not in fr_units:
-            raise InternalInconsistency(f"denominator {s} is not invertible in the fractions")
+    lost = elems - unit_pullback(sigma)
+    if lost:
+        raise InternalInconsistency(f"denominator {min(lost)} is not invertible in the fractions")
     # one gather checks every pair
     missed = fr_ring.np_mul[sigma_table[np.repeat(S, n)], pair_class] != np.tile(sigma_table, m)
     if missed.any():

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, NotDenominator, NotOre, ZeroAbsorbed
 from .rings import CarrierSubset, FiniteRing, is_two_sided_ideal, mask_members, members_mask
-from .rings import doubling_closure, once, one_analysis, opposite
+from .rings import doubling_closure, member_indices, once, one_analysis, opposite
 
 __all__ = [
     "MulSet",
@@ -135,11 +135,6 @@ def check_semigroup(ring: FiniteRing, elems: CarrierSubset) -> None:
         raise ValueError(f"not multiplicatively closed: {s}*{t} escapes")
 
 
-def _indices(ring: FiniteRing, elems: CarrierSubset) -> np.ndarray:
-    """The members of elems in increasing order, as an index array."""
-    return mask_members(ring.order, elems.mask).nonzero()[0]
-
-
 def closure_escape(ring: FiniteRing, elems: CarrierSubset) -> tuple[int, int] | None:
     """The first (s, t) of S x S in row-major order with s*t outside S, or None."""
     members = mask_members(ring.order, elems.mask)
@@ -214,7 +209,7 @@ def _zero_chain(ring: FiniteRing, gens: list[int]) -> list[tuple[int, int, int]]
 def ass(ring_or_mulset, setlike=None) -> CarrierSubset:
     """ass(S) = {r : s*r = 0 for some s in S}, the union of left kernels."""
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
-    S = _indices(ring, elems)
+    S = member_indices(elems)
     return CarrierSubset(ring.order, members_mask((ring.np_mul[S] == ring.zero).any(0)))
 
 
@@ -223,7 +218,7 @@ def r_ass(ring: FiniteRing, setlike) -> CarrierSubset:
     elems = subset_of(ring, setlike)
     if not elems:
         raise ValueError("r_ass needs a nonempty set")
-    X = _indices(ring, elems)
+    X = member_indices(elems)
     return CarrierSubset(ring.order, members_mask((ring.np_mul[:, X] == ring.zero).any(1)))
 
 
@@ -242,7 +237,7 @@ def is_left_ore(ring_or_mulset, setlike=None) -> Verdict:
     """
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
     n, M = ring.order, ring.np_mul
-    S = _indices(ring, elems)
+    S = member_indices(elems)
     rows, cols = M[S], M[:, S]
     tested = ~((cols == ring.one).any(0) | (rows == cols.T).all(1))
     if not tested.any():
@@ -274,7 +269,7 @@ def is_left_denominator(ring_or_mulset, setlike=None) -> Verdict:
     ore = once(is_left_ore, ring, elems)
     if not ore.holds:
         return ore
-    S = _indices(ring, elems)
+    S = member_indices(elems)
     kills = ring.np_mul[:, S] == ring.zero  # kills[r, j]: r*s_j = 0
     irreversible = kills.any(1) & ~mask_members(ring.order, once(ass, ring, elems).mask)
     if not irreversible.any():
@@ -289,10 +284,10 @@ def core(ring_or_mulset, setlike=None) -> CarrierSubset:
     ore = once(is_left_ore, ring, elems)
     if not ore.holds:
         raise NotOre(ore.witness)
-    S = _indices(ring, elems)
+    S = member_indices(elems)
     kernels = ring.np_mul[S] == ring.zero  # row j is the left kernel of s_j
     full = (kernels == kernels.any(0)).all(1)
-    return CarrierSubset.from_indices(ring.order, S[full].tolist())
+    return CarrierSubset.from_indices(ring.order, S[full])
 
 
 def max_kernel_elements(ring_or_mulset, setlike=None) -> CarrierSubset:
@@ -302,17 +297,10 @@ def max_kernel_elements(ring_or_mulset, setlike=None) -> CarrierSubset:
     asserted here rather than assumed.
     """
     ring, elems = _ring_and_subset(ring_or_mulset, setlike)
-    kernels = {s: once(ass, ring, CarrierSubset(ring.order, 1 << s)).mask for s in elems}
-    values = set(kernels.values())
-
-    def is_max(k: int) -> bool:
-        return not any(o != k and o | k == o for o in values)
-
-    out = 0
-    for s, k in kernels.items():
-        if is_max(k):
-            out |= 1 << s
-    result = CarrierSubset(ring.order, out)
+    S = member_indices(elems)
+    kernels = (ring.np_mul[S] == ring.zero).astype(np.float32)  # row j is the left kernel of s_j
+    below = kernels @ (1 - kernels).T == 0  # [i, j]: the kernel of s_i lies in that of s_j
+    result = CarrierSubset.from_indices(ring.order, S[~(below & ~below.T).any(1)])
     if once(is_left_ore, ring, elems).holds:
         if result != core(ring, elems):
             raise InternalInconsistency(

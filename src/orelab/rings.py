@@ -30,10 +30,12 @@ A failure there is a bug in the builder, so it raises
 ``InternalInconsistency``, never ``AxiomViolation``.  An opposite ring
 needs no check: the identity map is an anti-isomorphism R -> R^op.
 
-Subsets of the carrier are bitmask-backed ``CarrierSubset`` values; maps
-between rings are table-backed ``RingMap`` values validated as unital
-ring homomorphisms.  Quotient, product and opposite tables are built by
-gathers on ``np_add`` and ``np_mul``.
+Subsets of the carrier are bitmask-backed ``CarrierSubset`` values, read
+as an index array by ``member_indices``.  Maps between rings are
+``RingMap`` values validated as unital ring homomorphisms; a map's table
+is a read-only intp index array, like ``np_add``, so its kernel,
+preimages and compositions are gathers.  Quotient, product and opposite
+tables are built by gathers on ``np_add`` and ``np_mul``.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ __all__ = [
     "radix_decode",
     "direct_product",
     "opposite",
-    "additive_subgroups",
     "two_sided_ideals",
     "left_ideals",
     "minimal_primes",
@@ -121,6 +122,15 @@ class CarrierSubset:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "CarrierSubset":
+        """The subset with the given members; an integer index array, as
+        ``member_indices`` gives, is read by one scatter."""
+        if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+            outside = (indices < 0) | (indices >= n)
+            if outside.any():
+                raise ValueError(f"index {indices[outside][0]} outside carrier of size {n}")
+            members = np.zeros(n, dtype=bool)
+            members[indices] = True
+            return cls(n, members_mask(members))
         mask = 0
         for i in map(operator.index, indices):
             if not 0 <= i < n:
@@ -202,19 +212,20 @@ class CarrierSubset:
         return f"CarrierSubset(n={self.n}, {self})"
 
 
-def _table(t, n: int, what: str) -> np.ndarray:
-    """A C-contiguous read-only int64 copy of an n-by-n table given as lists,
-    tuples or an array.  An entry too large for int64 becomes -1, so the
-    closure check names it like any other entry outside the carrier."""
+def _index_array(t, n: int, shape: tuple, error: str, dtype=np.intp) -> np.ndarray:
+    """A C-contiguous read-only copy of t, given as lists, tuples or an
+    array, of the given shape, else ValueError(error).  An entry too large
+    for the dtype becomes -1, so the caller's range check names it like
+    any other entry outside {0..n-1}."""
     try:
-        a = np.array(t, dtype=np.int64, order="C")
+        a = np.array(t, dtype=dtype, order="C")
     except OverflowError:  # numpy finds the shape first, so t is not ragged here
         big = np.array(t, dtype=object)
-        a = np.where((big > -1) & (big < n), big, -1).astype(np.int64)
+        a = np.where((big > -1) & (big < n), big, -1).astype(dtype)
     except ValueError:  # ragged rows
-        raise ValueError(f"{what} table is not {n}x{n}") from None
-    if a.shape != (n, n):
-        raise ValueError(f"{what} table is not {n}x{n}")
+        raise ValueError(error) from None
+    if a.shape != shape:
+        raise ValueError(error)
     a.setflags(write=False)
     return a
 
@@ -230,8 +241,9 @@ class FiniteRing:
 
     def __init__(self, order, add, mul, zero, one, names: Sequence[str] | None = None):
         self.order = int(order)
-        self.np_add = _table(add, self.order, "add")
-        self.np_mul = _table(mul, self.order, "mul")
+        n = self.order
+        self.np_add = _index_array(add, n, (n, n), f"add table is not {n}x{n}", np.int64)
+        self.np_mul = _index_array(mul, n, (n, n), f"mul table is not {n}x{n}", np.int64)
         self.zero = int(zero)
         self.one = int(one)
         if not (0 <= self.zero < self.order and 0 <= self.one < self.order):
@@ -470,6 +482,11 @@ def mask_members(n: int, mask: int) -> np.ndarray:
     return np.unpackbits(bits, count=n, bitorder="little").view(bool)
 
 
+def member_indices(sub: CarrierSubset) -> np.ndarray:
+    """The members of sub in increasing order, as an intp index array."""
+    return mask_members(sub.n, sub.mask).nonzero()[0]
+
+
 def members_mask(members: np.ndarray) -> int:
     """The bitmask of a boolean member vector."""
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
@@ -555,8 +572,7 @@ def table_image(table: np.ndarray, xs, ys) -> CarrierSubset:
 
 def subgroup_sum(ring: FiniteRing, a: CarrierSubset, b: CarrierSubset) -> CarrierSubset:
     """Pointwise sum A + B = {x + y}; a subgroup when A and B are."""
-    n = ring.order
-    return table_image(ring.np_add, mask_members(n, a.mask).nonzero()[0], mask_members(n, b.mask).nonzero()[0])
+    return table_image(ring.np_add, member_indices(a), member_indices(b))
 
 
 def zero_ideal(ring: FiniteRing) -> CarrierSubset:
@@ -599,7 +615,7 @@ def principal_ideals(ring: FiniteRing, side: str = "two") -> list[int]:
     them all.  An orbit is marked by one ``np_mul`` gather.
     """
     n, M = ring.order, ring.np_mul
-    U = mask_members(n, units(ring).mask).nonzero()[0]
+    U = member_indices(units(ring))
     out = [0] * n  # 0 is no ideal's mask, as every ideal holds zero
     for x in range(n):
         if out[x]:
@@ -617,40 +633,6 @@ def principal_ideals(ring: FiniteRing, side: str = "two") -> list[int]:
     return out
 
 
-def additive_subgroups(ring: FiniteRing, guard: int | None = None) -> list[CarrierSubset]:
-    """All additive subgroups, grown one generator at a time from {0}.
-
-    Every subgroup arises by adjoining its elements one by one, so the
-    closure lattice walk below reaches all of them without touching the
-    2^n subset space.
-    """
-    if guard is not None and ring.order > guard:
-        raise SizeGuardExceeded("additive subgroup enumeration", ring.order, guard)
-    n = ring.order
-    closure_memo: dict[int, int] = {}
-    root = 1 << ring.zero
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for x in range(n):
-                if (h >> x) & 1:
-                    continue
-                key = h | (1 << x)
-                grown = closure_memo.get(key)
-                if grown is None:
-                    grown = members_mask(_additive_closure(ring, mask_members(n, key)))
-                    closure_memo[key] = grown
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    out = [CarrierSubset(n, m) for m in seen]
-    out.sort(key=lambda s: (len(s), s.mask))
-    return out
-
-
 def _ideal_lattice(ring: FiniteRing, side: str) -> list[CarrierSubset]:
     """Walk the ideal lattice by summing principal ideals.
 
@@ -664,14 +646,14 @@ def _ideal_lattice(ring: FiniteRing, side: str) -> list[CarrierSubset]:
     n = ring.order
     principal = dict.fromkeys(principal_ideals(ring, side))
     # each ideal becomes a member index array once; a sum is one np_add gather
-    gens = [(m, mask_members(n, m).nonzero()[0]) for m in principal]
+    gens = [(m, member_indices(CarrierSubset(n, m))) for m in principal]
     root = 1 << ring.zero
     seen = {root}
     frontier = [root]
     while frontier:
         nxt = []
         for h in frontier:
-            cur = mask_members(n, h).nonzero()[0][:, None]
+            cur = member_indices(CarrierSubset(n, h))[:, None]
             for m, p in gens:
                 if m | h == h:
                     continue
@@ -732,7 +714,7 @@ def is_semiprime(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> bool:
         for ideal in ideals:
             if len(ideal) == 1:
                 continue
-            idx = mask_members(ring.order, ideal.mask).nonzero()[0]
+            idx = member_indices(ideal)
             if (M[idx[:, None], idx] == ring.zero).all():
                 by_squares = False
                 break
@@ -774,24 +756,23 @@ def uniform_dimension(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> int:
 # -- quotients, products, opposite ---------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingMap:
-    """A unital ring homomorphism given by its full value table."""
+    """A unital ring homomorphism given by its full value table, a
+    read-only intp index array like ``np_add``; maps compare by identity."""
 
     source: FiniteRing
     target: FiniteRing
-    table: tuple[int, ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
-        src, tgt, f = self.source, self.target, self.table
-        if len(f) != src.order:
-            raise ValueError("map table length must equal source order")
-        if any(not 0 <= v < tgt.order for v in f):
+        src, tgt = self.source, self.target
+        F = _index_array(self.table, tgt.order, (src.order,), "map table length must equal source order")
+        object.__setattr__(self, "table", F)
+        if F.min() < 0 or F.max() >= tgt.order:
             raise ValueError("map value outside target carrier")
-        if f[src.one] != tgt.one:
+        if F[src.one] != tgt.one:
             raise ValueError("map does not send one to one")
-        F = np.asarray(f, dtype=np.intp)
         bad_add = F[src.np_add] != tgt.np_add[F[:, None], F]
         bad = bad_add | (F[src.np_mul] != tgt.np_mul[F[:, None], F])
         if bad.any():
@@ -800,52 +781,53 @@ class RingMap:
             raise ValueError(f"map not {kind} at ({x}, {y})")
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
+        return int(self.table[x])
 
     def kernel(self) -> CarrierSubset:
-        return self.preimage(zero_ideal(self.target))
+        return CarrierSubset(self.source.order, members_mask(self.table == self.target.zero))
 
     def is_surjective(self) -> bool:
-        return len(set(self.table)) == self.target.order
+        return bool(np.bincount(self.table, minlength=self.target.order).all())
 
     def is_bijective(self) -> bool:
-        return self.source.order == self.target.order == len(set(self.table))
+        return self.source.order == self.target.order and self.is_surjective()
 
     def preimage(self, sub: CarrierSubset) -> CarrierSubset:
-        """{x : f(x) in sub}."""
-        m = sub.mask
-        return CarrierSubset(self.source.order, sum(1 << x for x, v in enumerate(self.table) if m >> v & 1))
+        """{x : f(x) in sub}, one gather of sub's member vector."""
+        members = mask_members(self.target.order, sub.mask)[self.table]
+        return CarrierSubset(self.source.order, members_mask(members))
 
     @classmethod
     def identity(cls, ring: FiniteRing) -> "RingMap":
-        return cls(ring, ring, tuple(range(ring.order)))
+        return cls(ring, ring, np.arange(ring.order))
 
     def compose(self, inner: "RingMap") -> "RingMap":
         """self after inner."""
         if inner.target is not self.source and inner.target != self.source:
             raise ValueError("composition mismatch")
-        return RingMap(inner.source, self.target, tuple(self.table[v] for v in inner.table))
+        return RingMap(inner.source, self.target, self.table[inner.table])
 
 
 def induced_map(f: RingMap, g: RingMap) -> RingMap:
     """The map h: f.target -> g.target with h(f(x)) == g(x) for every x.
 
-    h commutes with f and g by construction.  Raises ValueError when f
-    and g start from different rings, when f is not onto, when h would be
-    ill-defined on a fibre of f, or (through RingMap) when h is not a
-    unital homomorphism.
+    h(v) is g at the least x of the fibre of v, one scatter.  Raises
+    ValueError when f and g start from different rings, when h is
+    ill-defined (at the least x with g(x) != h(f(x))), when f is not onto,
+    or (through RingMap) when h is not a unital homomorphism.
     """
     if f.source is not g.source and f.source != g.source:
         raise ValueError("induced map needs two maps from the same ring")
-    table: list[int | None] = [None] * f.target.order
-    for x, (v, w) in enumerate(zip(f.table, g.table)):
-        if table[v] is None:
-            table[v] = w
-        elif table[v] != w:
-            raise ValueError(f"induced map is ill-defined on the fibre of {v} (at {x})")
-    if None in table:
-        raise ValueError(f"{table.index(None)} is not in the image of the first map")
-    return RingMap(f.target, g.target, tuple(table))  # type: ignore[arg-type]
+    n = f.source.order
+    least = np.full(f.target.order, n, dtype=np.intp)  # n: no preimage
+    np.minimum.at(least, f.table, np.arange(n))
+    bad = g.table[least[f.table]] != g.table
+    if bad.any():
+        x = int(bad.argmax())
+        raise ValueError(f"induced map is ill-defined on the fibre of {f(x)} (at {x})")
+    if least.max() == n:
+        raise ValueError(f"{int(least.argmax())} is not in the image of the first map")
+    return RingMap(f.target, g.target, g.table[least])
 
 
 def r_isomorphism(f: RingMap, g: RingMap) -> RingMap:
@@ -891,20 +873,20 @@ def quotient(ring: FiniteRing, ideal: CarrierSubset) -> tuple[FiniteRing, RingMa
     return f.target, f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductRing:
     """A direct product with its factor bookkeeping.
 
-    projections are unital ring maps; embeddings are plain value tables
-    (they do not preserve one, so they are not RingMaps).
+    projections are unital ring maps; embeddings are plain read-only
+    index arrays (they do not preserve one, so they are not RingMaps).
     """
 
     ring: FiniteRing
     factors: tuple[FiniteRing, ...]
     projections: tuple[RingMap, ...]
-    embeddings: tuple[tuple[int, ...], ...]
+    embeddings: tuple[np.ndarray, ...]
 
-    def encode(self, parts: Sequence[int]) -> int:
+    def encode(self, parts: Sequence):
         return radix_encode([f.order for f in self.factors], parts)
 
     def decode(self, x: int) -> tuple[int, ...]:
@@ -912,17 +894,16 @@ class ProductRing:
 
     def coordinate_map(self, maps: Sequence[RingMap]) -> RingMap:
         """x -> (maps[0](x), maps[1](x), ...), with maps[i] into factor i:
-        the sum of each map's table at its factor's stride.  RingMap checks
-        that it is a unital homomorphism, and raises ValueError if not."""
+        the maps' tables radix-encoded as arrays.  RingMap checks that it
+        is a unital homomorphism, and raises ValueError if not."""
         if len(maps) != len(self.factors):
             raise ValueError(f"{len(maps)} maps for {len(self.factors)} factors")
-        orders = [f.order for f in self.factors]
-        table = sum(math.prod(orders[i + 1 :]) * np.asarray(m.table) for i, m in enumerate(maps))
-        return RingMap(maps[0].source, self.ring, table)
+        return RingMap(maps[0].source, self.ring, self.encode([m.table for m in maps]))
 
 
-def radix_encode(radices: Sequence[int], digits: Sequence[int]) -> int:
-    """Mixed-radix number with the first digit most significant."""
+def radix_encode(radices: Sequence[int], digits: Sequence):
+    """Mixed-radix number with the first digit most significant; digits
+    given as index arrays encode elementwise, as in ``coordinate_map``."""
     out = 0
     for r, d in zip(radices, digits):
         out = out * r + d
@@ -991,9 +972,9 @@ def direct_product(*factors: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Pro
         projections = tuple(RingMap(ring, f, d) for f, d in zip(factors, digits))
     except ValueError as e:
         raise InternalInconsistency(f"a projection of the product is not a homomorphism: {e}") from e
-    embeddings = tuple(
-        tuple(zero + (x - f.zero) * st for x in range(f.order)) for st, f in zip(strides, factors)
-    )
+    embeddings = tuple(zero + (np.arange(f.order) - f.zero) * st for st, f in zip(strides, factors))
+    for e in embeddings:
+        e.setflags(write=False)
     return ProductRing(ring, tuple(factors), projections, embeddings)
 
 

@@ -33,7 +33,7 @@ def test_image_ring_accepts_a_true_image(z12):
     F, idx = np.arange(12) % 4, np.arange(4)
     add, mul = (idx[:, None] + idx) % 4, (idx[:, None] * idx) % 4
     f = _image_ring(z12, F, add, mul, None, "reduction mod 4")
-    assert f.target == construct("zmod(4)") and f.table == tuple(F.tolist())
+    assert f.target == construct("zmod(4)") and tuple(f.table.tolist()) == tuple(F.tolist())
     assert not f.target.np_add.flags.writeable and f.target.np_add is add
 
 

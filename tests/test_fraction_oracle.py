@@ -113,7 +113,7 @@ def _compare(ring, elems):
     assert fr.pair_class.tolist() == list(pair_class.values())  # both in (s, r) order
     assert np.array_equal(fr.ring.np_add, add_table)
     assert np.array_equal(fr.ring.np_mul, mul_table)
-    assert fr.sigma.table == sigma_table
+    assert tuple(fr.sigma.table.tolist()) == sigma_table
 
 
 def _compare_with_cores(ring, subs):

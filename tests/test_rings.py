@@ -31,7 +31,28 @@ from orelab import (
     uniform_dimension,
     units,
 )
-from orelab.rings import _absorbs, additive_subgroups, subgroup_sum
+from orelab.rings import _absorbs, _additive_closure, mask_members, members_mask, subgroup_sum
+
+
+def additive_subgroups(ring):
+    """All additive subgroups, grown one generator at a time from {0}.
+
+    Every subgroup arises by adjoining its elements one by one, so this
+    closure walk reaches all of them without touching the 2^n subsets.
+    """
+    n = ring.order
+    seen = {1 << ring.zero}
+    frontier = set(seen)
+    while frontier:
+        grown = {
+            members_mask(_additive_closure(ring, mask_members(n, h | 1 << x)))
+            for h in frontier
+            for x in range(n)
+            if not h >> x & 1
+        }
+        frontier = grown - seen
+        seen |= grown
+    return [CarrierSubset(n, m) for m in seen]
 
 
 def test_zmod_tables(z6):
@@ -92,6 +113,10 @@ def test_carrier_subset_takes_numpy_integers(n):
         assert (np.int64(i) in py) == (i in py) == (i % 3 == 1)
     with pytest.raises(TypeError):
         CarrierSubset.from_indices(n, [1.0])
+    for bad, first in (([0, n, -1], n), ([-1, 0], -1)):  # an index array is range-checked as a list is
+        for given in (bad, np.array(bad)):
+            with pytest.raises(ValueError, match=f"^index {first} outside carrier of size {n}$"):
+                CarrierSubset.from_indices(n, given)
     with pytest.raises(TypeError):
         1.0 in py
 
@@ -197,7 +222,7 @@ def test_induced_map_between_quotients(z12):
     h = induced_map(to4, to2)  # Z/4 -> Z/2
     assert (h.source.order, h.target.order) == (4, 2)
     assert h.is_surjective() and not h.is_bijective()
-    assert h.compose(to4).table == to2.table
+    assert h.compose(to4).table.tolist() == to2.table.tolist()
     with pytest.raises(ValueError, match="ill-defined"):
         induced_map(to2, to4)  # 0 and 2 in Z/12 agree mod 2, not mod 4
 
@@ -229,6 +254,25 @@ def test_opposite_ring(t2f2, z6):
 def test_ring_map_rejects_non_homomorphism(z6):
     with pytest.raises(ValueError):
         RingMap(z6, z6, (0, 1, 3, 2, 4, 5))
+
+
+def test_ring_map_refuses_values_outside_the_target(z6):
+    # past int64 as well as past the target: the same refusal, not an OverflowError
+    for bad in (6, -1, 2**63, 2**70, -(2**70)):
+        with pytest.raises(ValueError, match="^map value outside target carrier$"):
+            RingMap(z6, z6, (0, 1, 2, 3, 4, bad))
+    with pytest.raises(ValueError, match="length"):
+        RingMap(z6, z6, (0, 1, 2, 3, 4, 2**70, 0))  # the length is checked first
+
+
+def test_ring_map_table_is_a_read_only_index_array(z12):
+    f = RingMap(z12, construct("zmod(4)"), [x % 4 for x in range(12)])
+    assert f.table.dtype == np.intp and not f.table.flags.writeable
+    assert f(7) == 3 and type(f(7)) is int
+    F = np.arange(12) % 4
+    g = RingMap(z12, f.target, F)
+    assert g.table is not F and F.flags.writeable  # copied, the caller's array untouched
+    assert f != g and f == f  # maps compare by identity
 
 
 def _first_map_failure(src, tgt, f):
