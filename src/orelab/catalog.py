@@ -461,7 +461,12 @@ def load_ring_file(path: str, guards: Guards = DEFAULT_GUARDS) -> FiniteRing:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(0, f"cannot read {path}: {e}")
-    lines = raw.splitlines()
+    # text mode reads \r\n and \r as \n, so lines end there only;
+    # str.splitlines would also end them at \x0b, \x0c and \x1c-\x1e,
+    # which split() reads as spaces within a row
+    lines = raw.split("\n")
+    if lines[-1] == "":  # as splitlines: a final line end opens no line
+        lines.pop()
     pos = 0
 
     def next_line(what: str) -> tuple[int, str]:

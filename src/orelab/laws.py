@@ -189,10 +189,9 @@ def _check_denominator_semigroup_products(ctx: LawContext):
     pairs = 0
     # the closure of S u T and its r.ass depend only on the union
     products = {}
-    for s_sub in ctx.denominator_sets:
-        a = once(ass, ring, s_sub)
-        for t_sub in ctx.denominator_sets:
-            b = once(ass, ring, t_sub)
+    sets = [(s_sub, once(ass, ring, s_sub)) for s_sub in ctx.denominator_sets]
+    for s_sub, a in sets:
+        for t_sub, b in sets:
             if not a.issubset(b):
                 continue
             pairs += 1

@@ -9,9 +9,11 @@ and cross-checked against an independent route wherever one exists.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Iterator
+
+import numpy as np
 
 from .errors import DEFAULT_GUARDS, Guards, InternalInconsistency, SizeGuardExceeded
 from .localize import FractionRing, build_fraction_ring, largest_left_quotient, quotient_model_isomorphism
@@ -20,6 +22,7 @@ from .rings import (
     CarrierSubset,
     FiniteRing,
     RingMap,
+    central_blocks,
     direct_product,
     is_division_ring,
     is_semiprime,
@@ -183,21 +186,52 @@ def saturated_denominator_sets(
 ) -> dict[CarrierSubset, MulSet]:
     """All saturated left denominator sets, keyed by annihilator ideal.
 
-    Candidates are unit pullbacks through each proper quotient; a
-    candidate survives when its annihilator is exactly the ideal it came
-    from and it passes the denominator test.  The annihilator, one gather,
-    is compared first, so the Ore test runs only on candidates it keeps.
+    Candidates are unit pullbacks through each proper quotient
+    (``_unit_pullbacks``); a ring with several blocks takes them from its
+    blocks.  A candidate survives when its annihilator in R is exactly
+    the ideal it came from and it passes the denominator test on R.  The
+    annihilator, one gather, is compared first, so the Ore test runs only
+    on candidates it keeps.
     """
     out: dict[CarrierSubset, MulSet] = {}
-    for a in once(two_sided_ideals, ring, guards):
-        if len(a) == ring.order:
-            continue
-        t = unit_pullback(once(quotient, ring, a)[1])
+    for a, t in _unit_pullbacks(ring, guards):
         if once(ass, ring, t) == a and once(is_left_denominator, ring, t).holds:
             out[a] = MulSet(ring, t)
     if not out:
         raise InternalInconsistency("the unit group went missing from the saturated family")
     return out
+
+
+def _unit_pullbacks(ring: FiniteRing, guards: Guards) -> Iterator[tuple[CarrierSubset, CarrierSubset]]:
+    """Each proper two-sided ideal a, in lattice order, with the pullback
+    of the units of R/a.
+
+    A ring of one block builds each quotient R/a.  A ring with several
+    blocks builds none: a is the product of block ideals a_i, R/a is the
+    product of the B_i/a_i, and a tuple is a unit exactly when each
+    coordinate is, so the pullback is the meet of the preimages of the
+    blocks' unit pullbacks.  A block with a_i = B_i gives all of R, as 0
+    is a unit of the zero ring.
+    """
+    ideals = [a for a in once(two_sided_ideals, ring, guards) if len(a) < ring.order]
+    blocks = once(central_blocks, ring)
+    if not blocks:
+        for a in ideals:
+            yield a, unit_pullback(once(quotient, ring, a)[1])
+        return
+    per_block = []
+    for p in blocks:
+        block, pairs = p.target, []
+        for b in once(two_sided_ideals, block, guards):
+            u = unit_pullback(once(quotient, block, b)[1]) if len(b) < block.order else b
+            pairs.append((p.preimage(b), p.preimage(u)))
+        per_block.append(pairs)
+    pullbacks = {}
+    for picks in itertools.product(*per_block):
+        block_ideals, block_units = zip(*picks)
+        pullbacks[CarrierSubset.meet(ring.order, block_ideals)] = CarrierSubset.meet(ring.order, block_units)
+    for a in ideals:
+        yield a, pullbacks[a]
 
 
 def closed_unital_subsets(ring: FiniteRing) -> Iterator[CarrierSubset]:
@@ -240,22 +274,21 @@ def _maximal_entries(
     family: dict[CarrierSubset, MulSet]
 ) -> list[tuple[CarrierSubset, MulSet]]:
     items = list(family.items())
-    by_sets = [
-        (a, s)
-        for a, s in items
-        if not any(s.mask != t.mask and (s.mask | t.mask) == t.mask for _, t in items)
-    ]
-    by_ideals = [
-        (a, s)
-        for a, s in items
-        if not any(a.mask != b.mask and (a.mask | b.mask) == b.mask for b, _ in items)
-    ]
-    if {a for a, _ in by_sets} != {a for a, _ in by_ideals}:
+
+    def maximal(masks: list[int]) -> list[int]:
+        # the positions of the masks that no other mask strictly contains;
+        # the largest are tried first, so a contained mask stops early
+        wide = sorted(masks, key=int.bit_count, reverse=True)
+        return [i for i, m in enumerate(masks) if not any(m != o and m | o == o for o in wide)]
+
+    by_sets = maximal([s.mask for _, s in items])
+    if by_sets != maximal([a.mask for a, _ in items]):
         raise InternalInconsistency(
             "maximality by set inclusion and by annihilator inclusion disagree"
         )
-    by_sets.sort(key=lambda pair: (len(pair[0]), pair[0].mask))
-    return by_sets
+    entries = [items[i] for i in by_sets]
+    entries.sort(key=lambda pair: (len(pair[0]), pair[0].mask))
+    return entries
 
 
 def max_den(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[MulSet]:
@@ -322,7 +355,7 @@ def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> 
         conditions.append(Condition("zero-localization-radical", False, "radical =", rad.indices()))
 
     apart = next((
-        (i, j) for i, j in combinations(range(n_factors), 2)
+        (i, j) for i, j in itertools.combinations(range(n_factors), 2)
         if subgroup_sum(ring, entries[i][0], entries[j][0]) != full
     ), None)
     pair_detail = "" if apart is None else "annihilators {} and {} do not add up to the ring".format(*apart)
@@ -478,6 +511,29 @@ def localization_profile(
                 + "; ".join(f"{r.name}={r.value}" for r in routes)
             )
         verdict = LocalizabilityVerdict(values.pop(), False, tuple(routes))
+
+        # a localization-maximal ring is indecomposable (A x B localizes
+        # onto B at A x {1}), so a successful splitting, whose factors are
+        # such rings, is the split into blocks
+        if dec.succeeded:
+            blocks = once(central_blocks, ring)
+            kernels = [p.kernel() for p in blocks] or [zero]
+            if [p.kernel() for p in dec.projections] != kernels or any(
+                f != p.target for f, p in zip(dec.factors, blocks)
+            ):
+                raise InternalInconsistency("the splitting of route 4 is not the split into blocks")
+        # Wedderburn: on a finite ring Q_l(R) = R, so R is localizable exactly
+        # when it is a finite product of division rings, that is of fields;
+        # so exactly when no x != 0 has x*x = 0 (a nilpotent x != 0 has a
+        # power y != 0 with y*y = 0), and then R is commutative
+        M = ring.np_mul
+        if verdict.localizable != (np.count_nonzero(M.diagonal() == ring.zero) == 1):
+            raise InternalInconsistency(
+                f"the verdict {verdict.localizable} disagrees with the squares of R:"
+                " R is localizable exactly when no nonzero element squares to 0"
+            )
+        if verdict.localizable and not np.array_equal(M, M.T):
+            raise InternalInconsistency("a localizable ring is not commutative")
 
         return LocalizationProfile(
             ring,

@@ -41,6 +41,7 @@ tables are built by gathers on ``np_add`` and ``np_mul``.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import operator
 import sys
@@ -86,6 +87,7 @@ __all__ = [
     "radix_decode",
     "direct_product",
     "opposite",
+    "central_blocks",
     "two_sided_ideals",
     "left_ideals",
     "minimal_primes",
@@ -670,10 +672,23 @@ def _ideal_lattice(ring: FiniteRing, side: str) -> list[CarrierSubset]:
 
 
 def two_sided_ideals(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[CarrierSubset]:
-    """All two-sided ideals, sorted by size then lexicographically."""
+    """All two-sided ideals, sorted by size then lexicographically.
+
+    A ring with several blocks (``central_blocks``) gets its lattice from
+    the lattices of its blocks: an ideal of a product of rings with 1 is
+    the product of its coordinate ideals, so the ideals of R are the meets
+    of one block ideal's preimage per block.  A ring of one block walks
+    its own lattice.
+    """
     if ring.order > guards.order:
         raise SizeGuardExceeded("two-sided ideal enumeration", ring.order, guards.order)
-    return _ideal_lattice(ring, "two")
+    blocks = once(central_blocks, ring)
+    if not blocks:
+        return _ideal_lattice(ring, "two")
+    pulled = [[p.preimage(b) for b in once(two_sided_ideals, p.target, guards)] for p in blocks]
+    out = [CarrierSubset.meet(ring.order, picks) for picks in itertools.product(*pulled)]
+    out.sort(key=lambda s: (len(s), s.mask))
+    return out
 
 
 def left_ideals(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> list[CarrierSubset]:
@@ -871,6 +886,41 @@ def quotient(ring: FiniteRing, ideal: CarrierSubset) -> tuple[FiniteRing, RingMa
     names = None if ring.names is None else [ring.names[r] for r in reps.tolist()]
     f = _image_ring(ring, proj, q_add, q_mul, names, "projection onto the quotient")
     return f.target, f
+
+
+def central_blocks(ring: FiniteRing) -> tuple[RingMap, ...]:
+    """The projection of R onto each of its blocks, or () when R is one block.
+
+    A central idempotent e has e*e = e and a row of ``np_mul`` equal to
+    its column; it is primitive when e*f is 0 or e for every central
+    idempotent f.  The primitive ones e_1, ..., e_k sum to 1 and split R
+    into the blocks R/R(1 - e_i), where R(1 - e_i) = {x : x*e_i = 0}.
+    Each block is built by ``quotient``, so its projection is a proved
+    ring map, and the projections' tables radix-encoded are the
+    coordinate map into the product of the blocks, a homomorphism: the
+    split is proved by checking it onto a carrier of R's size.  Blocks
+    come in the order of their kernels by (size, mask), the order of
+    ``two_sided_ideals``.
+    """
+    n, M = ring.order, ring.np_mul
+    idempotents = (M.diagonal() == np.arange(n)).nonzero()[0]
+    central = idempotents[(M[idempotents] == M[:, idempotents].T).all(1)]
+    meets = M[central[:, None], central]
+    primitive = central[((meets == ring.zero) | (meets == central[:, None])).all(1) & (central != ring.zero)]
+    if len(primitive) < 2:
+        return ()
+    kernels = sorted(
+        (CarrierSubset(n, members_mask(M[:, e] == ring.zero)) for e in primitive.tolist()),
+        key=lambda s: (len(s), s.mask),
+    )
+    projections = tuple(once(quotient, ring, k)[1] for k in kernels)
+    radices = [p.target.order for p in projections]
+    onto = math.prod(radices) == n and np.bincount(
+        radix_encode(radices, [p.table for p in projections]), minlength=n
+    ).all()
+    if not onto:
+        raise InternalInconsistency("the primitive central idempotents do not split the ring into its blocks")
+    return projections
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,7 +44,9 @@ def _exact_load(path, guards=DEFAULT_GUARDS):
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(0, f"cannot read {path}: {e}")
-    lines = raw.splitlines()
+    lines = raw.split("\n")  # text mode reads \r\n and \r as \n
+    if lines[-1] == "":
+        lines.pop()
     pos = 0
 
     def next_line(what):
@@ -222,9 +224,14 @@ def _entry(tok, table="mul", i=1, j=1):
 # inside a table, which numpy is then not given)
 REWRITES = {
     "tabs": (_each_row("\t".join), "numpy"),
-    "vertical tabs": (_each_row("\x0b".join), "exact"),
+    # a line ends at \n (text mode reads \r\n and \r as \n) and nowhere
+    # else; numpy reads \x0b and \x0c as spaces, but not \x1c-\x1f
+    "vertical tabs": (_each_row("\x0b".join), "numpy"),
+    "form feeds": (_each_row("\x0c".join), "numpy"),
     "file separators": (_each_row("\x1c".join), "exact"),
-    "one row with a vertical tab": (_one_row(lambda t: ["\x0b".join(t)]), "exact"),
+    "record separators": (_each_row("\x1e".join), "exact"),
+    "one row with a vertical tab": (_one_row(lambda t: ["\x0b".join(t)]), "numpy"),
+    "one row with a group separator": (_one_row(lambda t: ["\x1d".join(t)]), "exact"),
     "double spaces": (_each_row("  ".join), "numpy"),
     "leading zeros": (_each_row(lambda t: " ".join("00" + x for x in t)), "numpy"),
     "plus signs": (_each_row(lambda t: " ".join("+" + x for x in t)), "exact"),
@@ -277,6 +284,16 @@ def test_rewritten_file_matches_the_exact_parser(tmp_path, saved_texts, paths_ta
         assert paths_taken and set(paths_taken) == {"numpy"}
     elif path_kind == "exact":
         assert "exact" in paths_taken
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c"], ids=["vertical-tab", "form-feed"])
+def test_entries_separated_by_a_vertical_tab_or_form_feed_load_as_the_plain_file(tmp_path, saved_texts, sep):
+    # str.splitlines would end a line at each separator, leaving rows of one entry
+    plain, other = tmp_path / "plain.ring", tmp_path / "other.ring"
+    plain.write_text(saved_texts["zmod(12)"])
+    other.write_bytes(saved_texts["zmod(12)"].replace(" ", sep).encode("ascii"))
+    assert _outcome(load_ring_file, other) == _outcome(load_ring_file, plain)
+    assert load_ring_file(str(other)) == construct("zmod(12)")
 
 
 def test_the_rewrites_cover_rings_errors_and_both_paths(tmp_path, saved_texts):
