@@ -242,43 +242,23 @@ def _gf(q: int) -> FiniteRing:
         d += 1
     if d == 1:
         return _residues(p)
-    irr = _GF_IRREDUCIBLE[q]
-    els = []
-    for idx in range(q):
-        digits, v = [], idx
-        for _ in range(d):
-            digits.append(v % p)
-            v //= p
-        els.append(tuple(digits))
-
-    def reduce(poly: list[int]) -> tuple[int, ...]:
-        poly = poly[:]
-        for power in range(len(poly) - 1, d - 1, -1):
-            c = poly[power]
-            if c:
-                for i, ic in enumerate(irr):
-                    poly[power - d + i] = (poly[power - d + i] - c * ic) % p
-        return tuple(poly[:d])
-
-    def index(digits: tuple[int, ...]) -> int:
-        v = 0
-        for i in range(d - 1, -1, -1):
-            v = v * p + digits[i]
-        return v
-
-    add = [[index(tuple((a[i] + b[i]) % p for i in range(d))) for b in els] for a in els]
-    mul_t = []
-    for a in els:
-        row = []
-        for b in els:
-            prod = [0] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-            row.append(index(reduce(prod)))
-        mul_t.append(row)
-    names = tuple(_poly_name(e) for e in els)
-    return FiniteRing(q, add, mul_t, 0, 1, names)
+    # element v is the polynomial with coefficient C[v, i] = v // p**i % p
+    # at x^i, and a coefficient array encodes back by the weights p**i
+    weights = p ** np.arange(d)
+    C = np.arange(q)[:, None] // weights % p
+    add = (C[:, None] + C[None]) % p @ weights
+    # times_x[v] is x*v: the coefficients shift up one place, and the one
+    # at x^d is reduced by the monic irreducible
+    irr = np.array(_GF_IRREDUCIBLE[q][:d])
+    shifted = np.hstack([np.zeros((q, 1), dtype=C.dtype), C[:, :-1]])
+    times_x = (shifted - C[:, -1:] * irr) % p @ weights
+    # x_times[i][b] is x^i * b, so a*b is the sum of C[a, i] * x^i * b
+    x_times = [np.arange(q)]
+    for _ in range(d - 1):
+        x_times.append(times_x[x_times[-1]])
+    mul = sum(C[:, i, None, None] * C[x_times[i]][None] for i in range(d)) % p @ weights
+    names = tuple(_poly_name(tuple(c)) for c in C.tolist())
+    return FiniteRing(q, add, mul, 0, 1, names)
 
 
 def _matrix_ring(base: FiniteRing, k: int, upper: bool, guards: Guards) -> FiniteRing:
@@ -363,8 +343,10 @@ def _build(spec: RingSpec, guards: Guards) -> FiniteRing:
             if not 0 <= g < base.order:
                 raise BadSpec(f"quotient generator {g} outside 0..{base.order - 1}")
         ideal = ideal_closure(base, gens, side="two")
-        q, _ = quotient(base, ideal)
-        return q
+        if len(ideal) == base.order:
+            # R/R is the zero ring, which this library does not build
+            raise BadSpec(f"quotient generators {list(gens)} generate the whole ring")
+        return quotient(base, ideal)[0]
     if kind == "opposite":
         return opposite(_build(spec.args[0], guards))
     if kind == "file":

@@ -294,6 +294,10 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
 
     prod = direct_product(*factors, guards=ctx.guards)
     p_ring = prod.ring
+    try:
+        iso = prod.coordinate_map(dec.projections)
+    except ValueError as e:
+        return False, True, f"the splitting's coordinate map is not a homomorphism: {e}"
     p_profile = once(localization_profile, p_ring, ctx.guards)
     n = len(factors)
     problems = []
@@ -323,8 +327,8 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
     if p_profile.radical != zero_ideal(p_ring):
         problems.append("product has a nonzero localization radical")
     dec_p = once(product_decomposition, p_ring, ctx.guards)
-    if not (dec_p.succeeded and dec_p.n_factors == n and dec_p.iso.is_bijective()):
-        problems.append("coordinate map of the product is not an isomorphism")
+    if not (dec_p.succeeded and dec_p.n_factors == n):
+        problems.append("the product does not split into its factors")
 
     inter = CarrierSubset.meet(p_ring.order, lifted)
     if inter != units(p_ring):
@@ -347,7 +351,7 @@ def _check_product_of_maximal_pieces(ctx: LawContext):
         (ctx.profile.non_localizable, p_profile.non_localizable),
         (ctx.profile.radical, p_profile.radical),
     ):
-        if dec.iso.preimage(theirs) != mine:
+        if iso.preimage(theirs) != mine:
             problems.append("profile sets do not pull back along the splitting")
             break
 
@@ -387,10 +391,10 @@ def _check_splitting_round_trip(ctx: LawContext):
         failing = [c.name for c in dec.conditions if not c.holds]
         return True, True, "failure correctly witnessed by: " + ", ".join(failing)
 
-    if not dec.iso.is_bijective():
-        return False, True, "splitting map is not bijective"
     if math.prod(f.order for f in dec.factors) != ring.order:
         return False, True, "factor orders do not multiply to the ring order"
+    if len(set(zip(*(p.table.tolist() for p in dec.projections)))) != ring.order:
+        return False, True, "splitting map is not bijective"
     for idx, ((a, s, fr), proj) in enumerate(zip(entries, dec.projections)):
         if unit_pullback(fr.sigma).mask != s.mask:
             return False, True, f"factor {idx}: set is not the unit preimage"
@@ -664,18 +668,14 @@ def _check_semiprime_maximal_sets(ctx: LawContext):
         if u.mask | s.mask != s.mask:
             return False, True, "a regular element escapes a maximal set"
 
-    prod = direct_product(*dec.factors, guards=ctx.guards)
-    pullbacks = {
-        dec.iso.preimage(unit_pullback(proj)).mask: i
-        for i, proj in enumerate(prod.projections)
-    }
+    pullbacks = {unit_pullback(proj).mask: i for i, proj in enumerate(dec.projections)}
     if set(pullbacks) != {s.mask for _, s, _ in ctx.entries}:
         return False, True, "maximal sets are not the pullbacks of factor-unit tuples"
 
     for a, s, fr in ctx.entries:
         i = pullbacks[s.mask]
         try:
-            r_isomorphism(fr.sigma, prod.projections[i].compose(dec.iso))
+            r_isomorphism(fr.sigma, dec.projections[i])
         except ValueError as e:
             return False, True, f"maximal localization is not the simple factor {i}: {e}"
     return True, True, f"{len(dec.factors)} simple factors match the maximal sets"

@@ -23,7 +23,6 @@ from .rings import (
     FiniteRing,
     RingMap,
     central_blocks,
-    direct_product,
     is_division_ring,
     is_semiprime,
     minimal_primes,
@@ -110,14 +109,19 @@ class Condition:
 
 @dataclass(eq=False)
 class Decomposition:
-    """Result of trying to split a ring along its maximal denominator sets."""
+    """Result of trying to split a ring along its maximal denominator sets.
+
+    On success the factors are R's blocks and the projections are the
+    projections onto them.  ``central_blocks`` proves that split once, and
+    ``product_decomposition`` checks its factors against the blocks
+    wherever it runs, so no coordinate map is built here.
+    """
 
     succeeded: bool
     n_factors: int
     conditions: tuple[Condition, ...]
     factors: tuple[FiniteRing, ...] | None = None
     projections: tuple[RingMap, ...] | None = None
-    iso: RingMap | None = None
     factor_division: tuple[bool, ...] | None = None
 
     def to_doc(self, hashes: dict[FiniteRing, str] | None = None) -> dict:
@@ -333,10 +337,14 @@ def is_localization_maximal(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -
 def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> Decomposition:
     """Try to split the ring along its maximal denominator sets.
 
-    Four conditions are tested; when they all hold the coordinate map
-    onto the product of quotients is built, proved bijective, and the
-    expected identifications (unit pullbacks, projection kernels, the
-    localizations themselves) are verified on the result.  A condition
+    Four conditions are tested.  When they all hold, the annihilators of
+    the maximal sets must be the kernels of ``central_blocks``, in order:
+    a localization-maximal ring is indecomposable (A x B localizes onto B
+    at A x {1}), so the factors are R's blocks, and ``central_blocks`` has
+    proved that the projections onto the blocks split R.  The comparison
+    runs wherever this does, inside a profile or not.  The expected
+    identifications (unit pullbacks, projection kernels, the localizations
+    themselves) are then verified on each factor.  A condition
     lists elements by index (``Condition.elements``), so the result holds
     no names; ``localization_profile`` names them by its own ring.
     """
@@ -374,13 +382,9 @@ def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> 
     if not all(c.holds for c in conditions):
         return Decomposition(False, n_factors, tuple(conditions))
 
-    product = direct_product(*(q for q, _ in quotients), guards=guards)
-    try:
-        iso = product.coordinate_map([proj for _, proj in quotients])
-    except ValueError as e:
-        raise InternalInconsistency(f"coordinate map is not a homomorphism: {e}") from e
-    if not iso.is_bijective():
-        raise InternalInconsistency("coordinate map onto the product is not bijective")
+    kernels = [p.kernel() for p in once(central_blocks, ring)] or [zero_ideal(ring)]
+    if [a for a, _ in entries] != kernels:
+        raise InternalInconsistency("the splitting of route 4 is not the split into blocks")
 
     for idx, ((a, s), (_, proj)) in enumerate(zip(entries, quotients)):
         fr = once(build_fraction_ring, ring, s.elements)
@@ -396,7 +400,6 @@ def product_decomposition(ring: FiniteRing, guards: Guards = DEFAULT_GUARDS) -> 
         tuple(conditions),
         tuple(q for q, _ in quotients),
         tuple(proj for _, proj in quotients),
-        iso,
         tuple(is_division_ring(q) for q, _ in quotients),
     )
 
@@ -512,16 +515,6 @@ def localization_profile(
             )
         verdict = LocalizabilityVerdict(values.pop(), False, tuple(routes))
 
-        # a localization-maximal ring is indecomposable (A x B localizes
-        # onto B at A x {1}), so a successful splitting, whose factors are
-        # such rings, is the split into blocks
-        if dec.succeeded:
-            blocks = once(central_blocks, ring)
-            kernels = [p.kernel() for p in blocks] or [zero]
-            if [p.kernel() for p in dec.projections] != kernels or any(
-                f != p.target for f, p in zip(dec.factors, blocks)
-            ):
-                raise InternalInconsistency("the splitting of route 4 is not the split into blocks")
         # Wedderburn: on a finite ring Q_l(R) = R, so R is localizable exactly
         # when it is a finite product of division rings, that is of fields;
         # so exactly when no x != 0 has x*x = 0 (a nilpotent x != 0 has a

@@ -9,7 +9,6 @@ denominator test.  The lift must match both mask for mask and in order.
 
 import functools
 import random
-from dataclasses import replace
 
 import pytest
 from test_ideal_reference import _relabelled
@@ -21,12 +20,13 @@ from orelab import (
     construct,
     localization_profile,
     opposite,
+    product_decomposition,
     quotient,
     saturated_denominator_sets,
     two_sided_ideals,
     unit_pullback,
 )
-from orelab import maxden
+from orelab import maxden, rings
 from orelab.oresets import ass, is_left_denominator
 from orelab.rings import _ideal_lattice, central_blocks
 
@@ -79,16 +79,20 @@ def test_central_blocks():
 
 @pytest.mark.parametrize("spec", ["zmod(6)", "product(gf(2),gf(3),gf(5))"])
 def test_route_4_must_split_into_the_blocks(monkeypatch, spec):
-    original = maxden.product_decomposition
+    # once() calls central_blocks through orelab.rings, so the reversed
+    # blocks reach every caller; route 4's factors then differ from them,
+    # both inside a profile and in a direct call outside any analysis
+    original = rings.central_blocks
 
     @functools.wraps(original)
-    def reversed_split(ring, guards):
-        dec = original(ring, guards)
-        return replace(dec, factors=dec.factors[::-1], projections=dec.projections[::-1])
+    def reversed_blocks(ring):
+        return original(ring)[::-1]
 
-    monkeypatch.setattr(maxden, "product_decomposition", reversed_split)
+    monkeypatch.setattr(rings, "central_blocks", reversed_blocks)
     with pytest.raises(InternalInconsistency, match="not the split into blocks"):
         localization_profile(construct(spec))
+    with pytest.raises(InternalInconsistency, match="not the split into blocks"):
+        product_decomposition(construct(spec))
 
 
 def test_the_verdict_must_match_the_squares(monkeypatch):

@@ -89,6 +89,57 @@ def test_gf9_multiplication():
     assert f9.name_of(5) == "x+2"
 
 
+# p and the monic irreducible, coefficients from x^0 up, of each field
+# built on polynomials
+_GF_BY_POLYNOMIALS = {4: (2, (1, 1, 1)), 8: (2, (1, 1, 0, 1)), 9: (3, (1, 0, 1))}
+
+
+def _gf_by_polynomial_loops(q):
+    """Add and mul tables and names of GF(q), one polynomial at a time:
+    element v has the base-p digits of v as its coefficients from x^0
+    up, a product is reduced by long division by the irreducible."""
+    p, irr = _GF_BY_POLYNOMIALS[q]
+    d = len(irr) - 1
+    els = [[v // p**i % p for i in range(d)] for v in range(q)]
+
+    def index(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    def times(a, b):
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        for top in range(2 * d - 2, d - 1, -1):
+            c = prod[top]
+            for i, ic in enumerate(irr):
+                prod[top - d + i] = (prod[top - d + i] - c * ic) % p
+        return prod[:d]
+
+    def name(coeffs):
+        terms = []
+        for power in range(d - 1, -1, -1):
+            c = coeffs[power]
+            if c:
+                mono = {0: "", 1: "x"}.get(power, f"x^{power}")
+                terms.append(str(c) if not mono else mono if c == 1 else f"{c}{mono}")
+        return "+".join(terms) or "0"
+
+    add = [[index([(x + y) % p for x, y in zip(a, b)]) for b in els] for a in els]
+    mul = [[index(times(a, b)) for b in els] for a in els]
+    return add, mul, [name(a) for a in els]
+
+
+@pytest.mark.parametrize("q", sorted(_GF_BY_POLYNOMIALS))
+def test_gf_tables_match_the_polynomial_loops(q):
+    field = construct(f"gf({q})")
+    add, mul, names = _gf_by_polynomial_loops(q)
+    assert field.np_add.tolist() == add
+    assert field.np_mul.tolist() == mul
+    assert [field.name_of(v) for v in range(q)] == names
+    assert (field.zero, field.one) == (0, 1)
+
+
 def test_matrix_ring():
     m = construct("matrix(gf(2),2)")
     assert m.order == 16

@@ -8,7 +8,18 @@ import sys
 
 import pytest
 
-from orelab import DEFAULT_CATALOG, DEFAULT_GUARDS, BadSpec, Guards, construct, parse_spec, save_ring_file
+from orelab import (
+    DEFAULT_CATALOG,
+    DEFAULT_GUARDS,
+    BadSpec,
+    CarrierSubset,
+    Guards,
+    construct,
+    parse_spec,
+    quotient,
+    save_ring_file,
+)
+from orelab.errors import ImproperIdeal
 from orelab.cli import _batch_entry, run
 
 
@@ -158,6 +169,22 @@ def test_nesting_at_the_recursion_limit_ends_in_an_exit_code():
             hi = mid - 1
     codes = {_run(["info", _nested(d)])[0] for d in range(lo - 12, lo + 2)}
     assert codes == {0, 2}
+
+
+def test_quotient_by_the_whole_ring_is_a_bad_spec(tmp_path, z4):
+    spec = "quotient(zmod(4),[1])"
+    with pytest.raises(BadSpec, match=r"generators \[1\] generate the whole ring"):
+        construct(spec)
+    code, out = _run(["info", spec])
+    assert code == 2 and out.startswith("parse error:")
+    manifest = tmp_path / "whole.txt"
+    manifest.write_text(f"ring zmod(4)\nring {spec}\n")
+    code, out = _run(["batch", "--manifest", str(manifest), "--format", "json"])
+    assert code == 2
+    assert [e["status"] for e in json.loads(out)["entries"]] == ["ok", "parse"]
+    # the library call still refuses the improper ideal as a math error
+    with pytest.raises(ImproperIdeal):
+        quotient(z4, CarrierSubset.full(4))
 
 
 def test_guard_exit_code():

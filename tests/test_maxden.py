@@ -15,6 +15,7 @@ from orelab import (
     SizeGuardExceeded,
     brute_force_denominator_sets,
     construct,
+    direct_product,
     is_left_localizable,
     is_localization_maximal,
     left_localization_radical,
@@ -106,7 +107,7 @@ def test_profile_z12(z12):
     assert dec.succeeded and dec.n_factors == 2
     assert [f.order for f in dec.factors] == [4, 3]
     assert dec.factor_division == (False, True)
-    assert dec.iso.is_bijective()
+    assert direct_product(*dec.factors).coordinate_map(dec.projections).is_bijective()
 
 
 def test_profile_t2f2(t2f2):
